@@ -4,7 +4,8 @@ Subcommands: classify, check {laws|theorem|pullback|ci|local-independence|
 prop21}, report.  All randomized checks are seeded (flag --seed, else the
 GSMON_SEED environment variable, else 42) and emit byte-identical JSON for
 identical configurations.  Exit codes: 0 all checks pass, 1 a property
-violation was found, 2 usage or input error.
+violation was found, 2 usage or input error, 3 an internal invariant broke
+(a re-verified witness, mediator or certificate failed its check).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import os
 import sys
 
-from .errors import GsmonError
+from .errors import GsmonError, InvariantViolation
 from .independence import check_ci, check_local_independence
 from .jsonio import dump_json, kernel_from_json, load_json
 from .monads import ALL_MONAD_IDS, check_monad_laws, classify, get_instance
@@ -239,13 +240,7 @@ def cmd_check_ci(args) -> int:
         "method": args.method,
     }
     checks = [_with_reference(entry, "conditional independence factorization")]
-    doc = _document(config, checks)
-    text = dump_json(doc, args.out) if args.format == "json" else _markdown(doc)
-    if not args.out:
-        sys.stdout.write(text)
-    elif args.format == "markdown":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(_document(config, checks), args.format, args.out)
     return 0 if result.holds else 1
 
 
@@ -376,6 +371,9 @@ def main(argv=None) -> int:
         seed = default_seed()
         args = build_parser(seed).parse_args(argv)
         return args.handler(args)
+    except InvariantViolation as exc:
+        print(f"gsmon: internal error: {exc}", file=sys.stderr)
+        return 3
     except GsmonError as exc:
         print(f"gsmon: error: {exc}", file=sys.stderr)
         return 2

@@ -136,21 +136,23 @@ def pair_fun(f: FinFun, g: FinFun) -> FinFun:
     return fun_from_callable(dom, cod, lambda e: f(e[:cut]) + g(e[cut:]))
 
 
+def regroup(factors: Sequence[FinSet], order: Sequence[int]) -> Callable[[Elem], Elem]:
+    """The map sending an element of product(factors) to its coordinates in
+    the factors listed in `order`, concatenated in that order."""
+    spans = []
+    pos = 0
+    for f in factors:
+        spans.append(slice(pos, pos + f.arity))
+        pos += f.arity
+    picked = [spans[i] for i in order]
+    return lambda e: sum((e[s] for s in picked), ())
+
+
 def projection_fun(factors: Sequence[FinSet], keep: Sequence[int]) -> FinFun:
     """Project product(factors) onto the sub-product of the kept factor indices."""
     factors = list(factors)
-    offsets = []
-    pos = 0
-    for f in factors:
-        offsets.append((pos, pos + f.arity))
-        pos += f.arity
-    dom = product(factors)
     cod = product([factors[i] for i in keep])
-
-    def pick(e: Elem) -> Elem:
-        return sum((e[offsets[i][0]: offsets[i][1]] for i in keep), ())
-
-    return fun_from_callable(dom, cod, pick)
+    return fun_from_callable(product(factors), cod, regroup(factors, keep))
 
 
 def enumerate_functions(dom: FinSet, cod: FinSet) -> Iterator[FinFun]:

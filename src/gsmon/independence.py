@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InvalidBlock, MethodInapplicable, TypeMismatch
-from .finset import FinSet, fun_from_callable, product, projection_fun
+from .errors import InvalidBlock, InvariantViolation, MethodInapplicable, TypeMismatch
+from .finset import FinSet, fun_from_callable, product, projection_fun, regroup
 from .kernels import (
     Kernel,
     compose,
@@ -70,18 +70,8 @@ def _reorder(k: Kernel, factors: Sequence[FinSet], partition: Partition) -> Kern
     flat = [i for block in partition for i in block]
     if flat == sorted(flat):
         return k
-    spans = {}
-    pos = 0
-    for i in flat:
-        width = factors[i].arity
-        spans[i] = (pos, pos + width)
-        pos += width
-    cod = product(list(factors))
-    perm = fun_from_callable(
-        k.cod,
-        cod,
-        lambda e: sum((e[spans[i][0]: spans[i][1]] for i in range(len(factors))), ()),
-    )
+    back = regroup([factors[i] for i in flat], [flat.index(i) for i in range(len(factors))])
+    perm = fun_from_callable(k.cod, product(list(factors)), back)
     return compose(lift(k.inst, perm), k)
 
 
@@ -134,7 +124,7 @@ def _verify_certificate(f: Kernel, factors, result: CIResult, partition: Partiti
         return
     rebuilt = product_of_factors(f, factors, result.certificate, partition)
     if rebuilt != f:
-        raise AssertionError("CI certificate does not reproduce the kernel")
+        raise InvariantViolation("CI certificate does not reproduce the kernel")
 
 
 def check_ci(
@@ -203,19 +193,11 @@ def _ci_rank1(f: Kernel, factors, partition) -> CIResult:
     blocks = _block_sets(factors, partition)
     n = len(blocks)
     sizes = [len(b) for b in blocks]
-    spans = []
-    pos = 0
-    for fct in factors:
-        spans.append((pos, pos + fct.arity))
-        pos += fct.arity
+    pickers = [regroup(factors, block) for block in partition]
 
     def to_block_index(elem):
         # index of a codomain element in the blocks-ordered table
-        idx = []
-        for block in partition:
-            key = sum((elem[spans[i][0]: spans[i][1]] for i in block), ())
-            idx.append(blocks[len(idx)].index(key))
-        return tuple(idx)
+        return tuple(b.index(pick(elem)) for b, pick in zip(blocks, pickers))
 
     table_order = list(itertools.product(*(range(s) for s in sizes)))
     factor_columns = [[] for _ in range(n)]
@@ -226,8 +208,8 @@ def _ci_rank1(f: Kernel, factors, partition) -> CIResult:
         pivot = next((j for j in table_order if t[j] != 0), None)
         if pivot is None:
             # Zero column: CI holds; use the zero measure as first factor.
-            if inst.id == "M*":  # unreachable: M* values are never zero
-                raise AssertionError("zero column in M*")
+            if not inst.has_zero:  # unreachable: validation rejects the zero table
+                raise InvariantViolation(f"zero column in {inst.id}")
             vecs = [[Fraction(0)] * sizes[0]]
             for k in range(1, n):
                 vecs.append([Fraction(1 if i == 0 else 0) for i in range(sizes[k])])
@@ -276,20 +258,8 @@ def _ci_exhaustive(f: Kernel, factors, partition) -> CIResult:
     blocks = _block_sets(factors, partition)
     n = len(blocks)
     # Reorder the target into blocks order once, then search per column.
-    spans = []
-    pos = 0
-    for fct in factors:
-        spans.append((pos, pos + fct.arity))
-        pos += fct.arity
-    blocks_cod = product(blocks)
-    to_blocks = fun_from_callable(
-        f.cod,
-        blocks_cod,
-        lambda e: sum(
-            (sum((e[spans[i][0]: spans[i][1]] for i in block), ()) for block in partition),
-            (),
-        ),
-    )
+    flat = [i for block in partition for i in block]
+    to_blocks = fun_from_callable(f.cod, product(blocks), regroup(factors, flat))
     pools = [list(inst.enumerate_values(b)) for b in blocks]
     factor_columns = [[] for _ in range(n)]
     for x, col in zip(f.dom.elements, f.columns):

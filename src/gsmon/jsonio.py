@@ -4,7 +4,8 @@ The on-disk formats are deliberately small:
 
 * finite set: {"name": "X", "elements": ["x1", "x2"]}
 * monoid: {"name": "Z2", "elements": [...], "unit": 0, "table": [[...]]}
-* measure-like value: {"entries": {"x1": "1/2", "x2": "3"}} (zeros omitted)
+* table value: {"entries": {"x1": "1/2", "x2": "3"}} (zeros omitted; F
+  writes integers)
 * subset value: {"elements": ["x1", "x2"]}
 * writer value: {"a": "g", "x": "x1"}
 * identity value: {"x": "x1"}
@@ -12,20 +13,19 @@ The on-disk formats are deliberately small:
 
 A kernel codomain may instead be {"factors": [set, set, ...]}, which builds
 the product set; this is how conditional-independence inputs name their
-output coordinates.
+output coordinates.  Each monad instance writes and reads the fields of
+its own values (`value_to_json`, `value_from_json`).
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .errors import MalformedInput
 from .finset import FinSet, elem_from_str, elem_to_str, product
 from .kernels import Kernel
 from .monads import MonadInstance, TValue, get_instance
 from .monoid import FiniteMonoid
-from .rational import format_rat, parse_rat
 
 
 def finset_to_json(s: FinSet) -> dict:
@@ -54,62 +54,19 @@ def monoid_from_json(data) -> FiniteMonoid:
         raise MalformedInput(f"monoid JSON missing field {exc}") from None
 
 
-def _value_part(t: TValue) -> object:
-    inst_id = t.monad
-    if inst_id in ("M", "M*", "D"):
-        return {
-            "entries": {
-                elem_to_str(e): format_rat(v)
-                for e, v in zip(t.base.elements, t.payload)
-                if v != 0
-            }
-        }
-    if inst_id.startswith("F"):
-        return {
-            "entries": {
-                elem_to_str(e): v
-                for e, v in zip(t.base.elements, t.payload)
-                if v != 0
-            }
-        }
-    if inst_id in ("P", "P*"):
-        return {"elements": sorted(elem_to_str(e) for e in t.payload)}
-    if inst_id.startswith("writer:"):
-        return {"a": t.payload[0], "x": elem_to_str(t.payload[1])}
-    if inst_id == "Id":
-        return {"x": elem_to_str(t.payload)}
-    raise MalformedInput(f"no JSON form for monad {inst_id!r}")
-
-
 def tvalue_to_json(t: TValue) -> dict:
     data = {"monad": t.monad, "base": t.base.name}
-    part = _value_part(t)
-    data.update(part)
+    data.update(get_instance(t.monad).value_to_json(t))
     return data
 
 
-def _value_from_part(inst: MonadInstance, base: FinSet, data) -> TValue:
-    inst_id = inst.id
+def _value_from_json(inst: MonadInstance, base: FinSet, data) -> TValue:
     try:
-        if inst_id in ("M", "M*", "D") or inst_id.startswith("F"):
-            parse = parse_rat if not inst_id.startswith("F") else int
-            table = {elem_from_str(k): parse(v) for k, v in data["entries"].items()}
-            zero = Fraction(0) if not inst_id.startswith("F") else 0
-            for e in table:
-                if e not in base:
-                    raise MalformedInput(f"{elem_to_str(e)} not in {base.name}")
-            return inst.make(base, tuple(table.get(e, zero) for e in base.elements))
-        if inst_id in ("P", "P*"):
-            return inst.make(base, frozenset(elem_from_str(e) for e in data["elements"]))
-        if inst_id.startswith("writer:"):
-            return inst.make(base, (data["a"], elem_from_str(data["x"])))
-        if inst_id == "Id":
-            return inst.make(base, elem_from_str(data["x"]))
+        return inst.value_from_json(base, data)
     except MalformedInput:
         raise
     except Exception as exc:
-        raise MalformedInput(f"bad {inst_id} value: {exc}") from None
-    raise MalformedInput(f"no JSON form for monad {inst_id!r}")
+        raise MalformedInput(f"bad {inst.id} value: {exc}") from None
 
 
 def tvalue_from_json(data, inst: MonadInstance = None, base: FinSet = None) -> TValue:
@@ -117,7 +74,7 @@ def tvalue_from_json(data, inst: MonadInstance = None, base: FinSet = None) -> T
         inst = get_instance(data["monad"])
     if base is None:
         raise MalformedInput("a base set is required to decode a T-value")
-    return _value_from_part(inst, base, data)
+    return _value_from_json(inst, base, data)
 
 
 def kernel_to_json(k: Kernel) -> dict:
@@ -126,7 +83,7 @@ def kernel_to_json(k: Kernel) -> dict:
         "dom": finset_to_json(k.dom),
         "cod": finset_to_json(k.cod),
         "columns": {
-            elem_to_str(x): _value_part(col)
+            elem_to_str(x): k.inst.value_to_json(col)
             for x, col in zip(k.dom.elements, k.columns)
         },
     }
@@ -150,7 +107,7 @@ def kernel_from_json(data, bound: int = 16):
             key = elem_to_str(x)
             if key not in raw_cols:
                 raise MalformedInput(f"missing column for {key}")
-            columns.append(_value_from_part(inst, cod, raw_cols[key]))
+            columns.append(_value_from_json(inst, cod, raw_cols[key]))
         return Kernel(inst, dom, cod, columns), factors
     except MalformedInput:
         raise

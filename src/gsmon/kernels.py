@@ -66,7 +66,7 @@ class Kernel:
 
     def describe(self) -> str:
         cols = ", ".join(
-            f"{elem_to_str(x)} -> {col.describe()}"
+            f"{elem_to_str(x)} -> {self.inst.value_text(col)}"
             for x, col in zip(self.dom.elements, self.columns)
         )
         return f"Kernel[{self.inst.id}: {self.dom.name} -> {self.cod.name}]({cols})"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import NoSolverForRandomized, NotEnumerable
+from .errors import InvariantViolation, NoSolverForRandomized, NotEnumerable
 from .finset import FinSet, UNIT, fun_from_callable, product, projection_fun
 from .kernels import Kernel, enumerate_kernels, sample_kernel, try_effect_inverse
 from .monads import (
@@ -169,7 +169,8 @@ def check_pullback(
     total = len(cones) + trials
     for i in range(total):
         u, v = cones[i] if i < len(cones) else square.cone_sampler(rng)
-        assert square.right(u) == square.bottom(v), "cone sampler produced an incompatible cone"
+        if square.right(u) != square.bottom(v):
+            raise InvariantViolation(f"{square.name}: cone sampler produced an incompatible cone")
         t = square.solver(u, v)
         if t is None:
             return CheckReport(
@@ -180,7 +181,8 @@ def check_pullback(
                 seed=seed,
                 witness={"cone": [list(u), list(v)], "mediators": 0},
             )
-        assert square.top(t) == u and square.left(t) == v, "solver output fails projections"
+        if square.top(t) != u or square.left(t) != v:
+            raise InvariantViolation(f"{square.name}: solver output fails projections")
     return CheckReport(
         name=name,
         passed=True,
@@ -203,11 +205,10 @@ def _nonzero_scalar(rng) -> Fraction:
     return Fraction(rng.randint(1, SAMPLE_NUM_MAX), rng.randint(1, SAMPLE_DEN_MAX))
 
 
-def _search_solver(square_ref: list):
+def _search_solver(square: Square):
     """Fallback mediator search over an enumerable apex corner."""
 
     def solver(u, v):
-        square = square_ref[0]
         found = [
             t
             for t in _enumerate_corner(square.inst, square.tl)
@@ -310,8 +311,7 @@ def assoc_square(inst: MonadInstance, x: FinSet, y: FinSet, z: FinSet) -> Square
             q = c(inst.unit(x, x.elements[0]), inst.unit(y, y.elements[0]))
             square.degenerate_cones = [((inst.zero(x), p), (q, inst.zero(z)))]
     elif inst.enumerable:
-        ref = [square]
-        square.solver = _search_solver(ref)
+        square.solver = _search_solver(square)
     return square
 
 
@@ -356,8 +356,7 @@ def strong_affine_square(inst: MonadInstance, x: FinSet, y: FinSet) -> Square:
     if inst.has_zero:
         square.degenerate_apexes = [(x.elements[0], inst.zero(y))]
     if inst.enumerable:
-        ref = [square]
-        square.solver = _search_solver(ref)
+        square.solver = _search_solver(square)
     return square
 
 
@@ -387,8 +386,7 @@ def positivity_square(inst: MonadInstance, x: FinSet, y: FinSet) -> Square:
         bottom=bottom,
     )
     if inst.enumerable:
-        ref = [square]
-        square.solver = _search_solver(ref)
+        square.solver = _search_solver(square)
     return square
 
 

@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import gsmon
 from gsmon.cli import main
 from gsmon.jsonio import dump_json
 
@@ -60,6 +66,38 @@ def test_classify_single_monad(capsys):
 
 def test_classify_unknown_monad_exits_2(capsys):
     assert main(["classify", "--monad", "bogus"]) == 2
+
+
+@pytest.mark.parametrize("monad_id", ["F(B=banana", "F(B=0)", "F(B=-1)", "F(B=03)", "F(x)"])
+def test_malformed_f_id_exits_2(capsys, monad_id):
+    assert main(["classify", "--monad", monad_id]) == 2
+    assert "unknown monad id" in capsys.readouterr().err
+
+
+# An M* assoc pullback whose solver returns a wrong middle factor.
+BOGUS_SOLVER_RUN = """
+import sys
+import gsmon.cli as cli
+from test_squares import wrong_middle_factor
+
+build = cli.build_square
+cli.build_square = lambda *args: wrong_middle_factor(build(*args))
+sys.exit(cli.main(["check", "pullback", "--square", "assoc", "--monad", "M*",
+                   "--sizes", "1,1,1", "--mode", "random", "--trials", "3"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_broken_invariant_exits_3_also_under_optimize(flags):
+    src = os.path.dirname(os.path.dirname(gsmon.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", BOGUS_SOLVER_RUN],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("gsmon: internal error: ")
 
 
 def test_check_laws(capsys):

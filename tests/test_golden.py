@@ -1,0 +1,92 @@
+"""Byte-for-byte golden outputs of seeded CLI runs and kernel encodings.
+
+The files under ``tests/golden/`` were recorded from the code before the
+per-monad text and JSON forms moved into the instance classes; they pin
+every ``describe`` form and every JSON value form.  The kernel path in a
+``check ci`` report is replaced by ``<kernel>`` so the files do not depend
+on where the repository lives.  To re-record them from the code on the
+path: ``PYTHONPATH=src:tests python -c "import test_golden; test_golden.record()"``.
+"""
+
+import contextlib
+import io
+import json
+import os
+
+import pytest
+
+from gsmon.cli import main
+from gsmon.jsonio import dump_json, kernel_from_json, kernel_to_json, load_json
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+KERNELS = ("measure", "F", "subset", "writer", "Id")
+
+RUNS = {
+    "classify-all": ("classify", "--all", "--seed", "42"),
+    "pullback-P-111": (
+        "check", "pullback", "--square", "assoc", "--monad", "P", "--sizes", "1,1,1",
+        "--seed", "42",
+    ),
+    "pullback-M-222-random": (
+        "check", "pullback", "--square", "assoc", "--monad", "M", "--sizes", "2,2,2",
+        "--mode", "random", "--seed", "42",
+    ),
+}
+for _family in KERNELS:
+    RUNS[f"ci-{_family}"] = ("check", "ci", "--kernel", f"<kernel:{_family}>",
+                             "--partition", "X|Y", "--seed", "42")
+# F is decided by factor search.  Bound 1 keeps the search small and every
+# product of two multiplicities inside the bound; the auto method would first
+# classify F(B=1), whose preferred witness 2 is itself out of bound.
+RUNS["ci-F"] += ("--bound", "1", "--method", "exhaustive")
+
+
+def kernel_path(family: str) -> str:
+    return os.path.join(GOLDEN, "kernels", f"{family}.json")
+
+
+def run_cli(argv) -> tuple:
+    """Exit code and stdout of one in-process CLI run, kernel path masked."""
+    paths = {f"<kernel:{f}>": kernel_path(f) for f in KERNELS}
+    argv = [paths.get(a, a) for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    text = out.getvalue()
+    for path in paths.values():
+        text = text.replace(json.dumps(path)[1:-1], "<kernel>")
+    return code, text
+
+
+def kernel_encodings() -> str:
+    """The JSON encoding of each golden kernel after one decode."""
+    return dump_json({
+        family: kernel_to_json(kernel_from_json(load_json(kernel_path(family)), bound=1)[0])
+        for family in KERNELS
+    })
+
+
+def record():
+    """Write the golden files from the code that is imported."""
+    for name, argv in RUNS.items():
+        code, text = run_cli(argv)
+        with open(os.path.join(GOLDEN, f"{name}.json"), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    with open(os.path.join(GOLDEN, "kernel-encodings.json"), "w", encoding="utf-8") as fh:
+        fh.write(kernel_encodings())
+
+
+def _golden(name: str) -> str:
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_cli_output_matches_golden(name):
+    code, text = run_cli(RUNS[name])
+    assert text == _golden(f"{name}.json")
+    assert code == (0 if json.loads(text)["summary"] == "pass" else 1)
+
+
+def test_kernel_encodings_match_golden():
+    assert kernel_encodings() == _golden("kernel-encodings.json")

@@ -1,7 +1,9 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gsmon.errors import MalformedInput
 from gsmon.finset import FinSet, product
@@ -17,9 +19,9 @@ from gsmon.jsonio import (
     tvalue_from_json,
     tvalue_to_json,
 )
-from gsmon.kernels import Kernel
-from gsmon.monads import get_instance
-from gsmon.monoid import get_monoid
+from gsmon.kernels import Kernel, sample_kernel
+from gsmon.monads import ALL_MONAD_IDS, FreeAbelianMonad, get_instance
+from gsmon.monoid import MONOID_LIBRARY, get_monoid
 
 X = FinSet.of("X", ["x0", "x1"])
 Y = FinSet.of("Y", ["y0", "y1"])
@@ -48,14 +50,16 @@ def test_monoid_round_trip():
         ("P*", frozenset({("x0",), ("x1",)})),
         ("writer:Z2", ("1", ("x1",))),
         ("Id", ("x0",)),
+        ("F(B=3)", (-3, 1)),
     ],
 )
 def test_tvalue_round_trip(monad_id, payload):
     inst = get_instance(monad_id)
     t = inst.make(X, payload)
     data = tvalue_to_json(t)
-    assert data["monad"] == inst.id
+    assert data["monad"] == inst.id == monad_id
     assert tvalue_from_json(data, inst=inst, base=X) == t
+    assert tvalue_from_json(data, base=X) == t
 
 
 def test_measure_json_omits_zeros():
@@ -76,6 +80,45 @@ def test_kernel_round_trip():
     again, factors = kernel_from_json(kernel_to_json(k))
     assert again == k
     assert factors is None
+
+
+# Every instance: the registry's, a writer monad per library monoid, and F
+# with any bound.
+instances = st.sampled_from(
+    ALL_MONAD_IDS + [f"writer:{name}" for name in sorted(MONOID_LIBRARY)]
+).map(get_instance) | st.integers(min_value=1, max_value=1000).map(FreeAbelianMonad)
+
+
+@given(instances)
+def test_instance_id_round_trip(inst):
+    again = get_instance(inst.id)
+    assert again.id == inst.id
+    assert getattr(again, "bound", None) == getattr(inst, "bound", None)
+
+
+@given(
+    instances,
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_kernel_json_round_trip(inst, dom_size, cod_size, seed):
+    dom = FinSet.of("A", [f"a{i}" for i in range(dom_size)])
+    cod = FinSet.of("B", [f"b{i}" for i in range(cod_size)])
+    k = sample_kernel(inst, dom, cod, random.Random(seed))
+    again, _ = kernel_from_json(kernel_to_json(k))
+    assert again == k
+    assert getattr(again.inst, "bound", None) == getattr(inst, "bound", None)
+
+
+def test_bounded_f_kernel_keeps_its_bound():
+    f3 = get_instance("F", bound=3)
+    k = Kernel(f3, FinSet.of("A", ["a0"]), X, [f3.make(X, (3, -2))])
+    data = kernel_to_json(k)
+    assert data["monad"] == "F(B=3)"
+    again, _ = kernel_from_json(data)
+    assert again == k
+    assert again.inst.bound == 3
 
 
 def test_kernel_with_factor_codomain():

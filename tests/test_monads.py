@@ -13,7 +13,7 @@ from gsmon.monads import (
     classify,
     get_instance,
 )
-from gsmon.monoid import get_monoid
+from gsmon.monoid import FiniteMonoid, get_monoid
 
 X = FinSet.of("X", ["x0", "x1"])
 Y = FinSet.of("Y", ["y0", "y1"])
@@ -170,3 +170,9 @@ def test_registry_rejects_unknown_ids():
         get_instance("bogus")
     with pytest.raises(UnknownMonad):
         get_instance("writer:nope")
+
+
+def test_value_of_an_unregistered_instance_still_describes():
+    custom = FiniteMonoid.from_json(get_monoid("Z2").to_json(), name="custom")
+    t = WriterMonad(custom).unit(X, ("x1",))
+    assert t.describe().startswith("writer:custom(")

@@ -1,6 +1,6 @@
 import pytest
 
-from gsmon.errors import NoSolverForRandomized
+from gsmon.errors import InvariantViolation, NoSolverForRandomized
 from gsmon.finset import FinSet
 from gsmon.monads import get_instance
 from gsmon.monoid import MONOID_LIBRARY, is_group
@@ -60,6 +60,24 @@ def test_assoc_pullback_fails_for_m_with_zero_cone():
     assert all(v == 0 for v in v1.payload)
     assert any(v != 0 for v in u1.payload)
     assert any(v != 0 for v in v0.payload)
+
+
+def wrong_middle_factor(square):
+    """Make the assoc square's solver return twice the true middle factor."""
+    inst, solve = square.inst, square.solver
+
+    def solver(u, v):
+        t_x, t_y, t_z = solve(u, v)
+        return t_x, inst.make(t_y.base, tuple(2 * w for w in t_y.payload)), t_z
+
+    square.solver = solver
+    return square
+
+
+def test_bogus_solver_output_is_an_invariant_violation():
+    sq = wrong_middle_factor(assoc_square(get_instance("M*"), X, Y, Z))
+    with pytest.raises(InvariantViolation, match="solver output fails projections"):
+        check_pullback(sq, mode="randomized", trials=5, seed=11)
 
 
 def test_randomized_pullback_requires_solver():
