@@ -16,20 +16,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InvalidBlock, InvariantViolation, MethodInapplicable, TypeMismatch
-from .finset import FinSet, fun_from_callable, product, projection_fun, regroup
-from .kernels import (
-    Kernel,
-    compose,
-    copy_k,
-    equivalent,
-    from_columns,
-    lift,
-    mass,
-    scalar_action,
-    tensor_all,
+from .errors import (
+    InvalidBlock,
+    InvariantViolation,
+    MethodInapplicable,
+    NotEnumerable,
+    OutOfBound,
+    TypeMismatch,
 )
-from .monads import classification_of
+from .finset import FinSet, fun_from_callable, product, projection_fun, regroup
+from .kernels import Kernel, compose, equivalent, lift, mass, pairing, scalar_action
+from .monads import ENUMERATION_BUDGET, classification_of
 from .report import CheckReport
 
 Partition = Sequence[Sequence[int]]
@@ -58,12 +55,6 @@ def marginal(f: Kernel, factors: Sequence[FinSet], block: Sequence[int]) -> Kern
     return compose(lift(f.inst, proj), f)
 
 
-def copy_n(inst, a: FinSet, n: int) -> Kernel:
-    """The n-fold copy A -> A x ... x A (n = 0 gives discard)."""
-    cod = product([a] * n)
-    return from_columns(inst, a, cod, lambda e: inst.unit(cod, e * n))
-
-
 def _reorder(k: Kernel, factors: Sequence[FinSet], partition: Partition) -> Kernel:
     """Postcompose with the base permutation sending the blocks-flattened
     coordinate order back to the original coordinate order."""
@@ -82,11 +73,7 @@ def product_of_factors(
     partition: Partition,
 ) -> Kernel:
     """Assemble copy;(g_1 (x) ... (x) g_n) and reorder to coordinate order."""
-    inst = f.inst
-    a = f.dom
-    tens = tensor_all(list(factor_kernels))
-    assembled = compose(tens, copy_n(inst, a, len(factor_kernels)))
-    return _reorder(assembled, factors, partition)
+    return _reorder(pairing(*factor_kernels), factors, partition)
 
 
 def product_of_marginals(
@@ -175,8 +162,12 @@ def _ci_equivalence(f: Kernel, factors, partition) -> CIResult:
     return CIResult(True, "equivalence", certificate=cert, scalar=a)
 
 
-def _block_sets(factors, partition):
-    return [product([factors[i] for i in block]) for block in partition]
+def _in_block_order(f: Kernel, factors, partition) -> tuple:
+    """The block sets of the partition, and f's columns moved into block order."""
+    blocks = [product([factors[i] for i in block]) for block in partition]
+    flat = [i for block in partition for i in block]
+    to_blocks = fun_from_callable(f.cod, product(blocks), regroup(factors, flat))
+    return blocks, [f.inst.map(to_blocks, col) for col in f.columns]
 
 
 def _ci_rank1(f: Kernel, factors, partition) -> CIResult:
@@ -190,21 +181,14 @@ def _ci_rank1(f: Kernel, factors, partition) -> CIResult:
     if not f.inst.measure_like:
         raise MethodInapplicable(f"rank1 method needs a measure-like payload, not {f.inst.id}")
     inst = f.inst
-    blocks = _block_sets(factors, partition)
+    blocks, columns = _in_block_order(f, factors, partition)
     n = len(blocks)
     sizes = [len(b) for b in blocks]
-    pickers = [regroup(factors, block) for block in partition]
-
-    def to_block_index(elem):
-        # index of a codomain element in the blocks-ordered table
-        return tuple(b.index(pick(elem)) for b, pick in zip(blocks, pickers))
-
+    # The blocks-ordered table lists its indices lexicographically.
     table_order = list(itertools.product(*(range(s) for s in sizes)))
     factor_columns = [[] for _ in range(n)]
-    for col in f.columns:
-        t = {}
-        for elem, v in zip(f.cod.elements, col.payload):
-            t[to_block_index(elem)] = v
+    for col in columns:
+        t = dict(zip(table_order, col.payload))
         pivot = next((j for j in table_order if t[j] != 0), None)
         if pivot is None:
             # Zero column: CI holds; use the zero measure as first factor.
@@ -235,9 +219,9 @@ def _ci_rank1(f: Kernel, factors, partition) -> CIResult:
                     t[pivot[:k] + (i,) + pivot[k + 1:]] for i in range(sizes[k])
                 ]
                 vecs.append(slice_k)
-            if inst.id == "D":
-                # Factors must themselves be distributions; each pivot slice
-                # is proportional to the true factor, so renormalize.
+            if classification_of(inst).kind == "affine":
+                # Every value has mass one, so the factors must too; each
+                # pivot slice is proportional to the true factor, so renormalize.
                 vecs = [[v / sum(vec) for v in vec] for vec in vecs]
             else:
                 # Rescale the first factor so the product reproduces t exactly.
@@ -255,20 +239,30 @@ def _ci_exhaustive(f: Kernel, factors, partition) -> CIResult:
     if not f.inst.enumerable:
         raise MethodInapplicable(f"exhaustive CI search needs an enumerator ({f.inst.id})")
     inst = f.inst
-    blocks = _block_sets(factors, partition)
+    blocks, targets = _in_block_order(f, factors, partition)
     n = len(blocks)
-    # Reorder the target into blocks order once, then search per column.
-    flat = [i for block in partition for i in block]
-    to_blocks = fun_from_callable(f.cod, product(blocks), regroup(factors, flat))
-    pools = [list(inst.enumerate_values(b)) for b in blocks]
+    pools, combinations = [], 1
+    for b in blocks:
+        pool = list(itertools.islice(inst.enumerate_values(b), ENUMERATION_BUDGET + 1))
+        combinations *= len(pool)
+        if combinations > ENUMERATION_BUDGET:
+            raise NotEnumerable(
+                f"{inst.id}: at least {combinations} factor combinations per column"
+                f" exceed the enumeration budget of {ENUMERATION_BUDGET}"
+            )
+        pools.append(pool)
     factor_columns = [[] for _ in range(n)]
-    for x, col in zip(f.dom.elements, f.columns):
-        target = inst.map(to_blocks, col)
+    for x, target in zip(f.dom.elements, targets):
         found = None
         for combo in itertools.product(*pools):
-            acc = combo[0]
-            for t in combo[1:]:
-                acc = inst.lax_c(acc, t)
+            try:
+                acc = combo[0]
+                for t in combo[1:]:
+                    acc = inst.lax_c(acc, t)
+            except OutOfBound:
+                # Such a product cannot equal the validated target, and a
+                # zero target keeps its in-bound all-zero factoring.
+                continue
             if acc == target:
                 found = combo
                 break
@@ -288,13 +282,8 @@ def check_ci_n2_equation(f: Kernel, factors: Sequence[FinSet]) -> bool:
     _check_factors(f, factors)
     fx = marginal(f, factors, [0])
     fy = marginal(f, factors, [1])
-    inst = f.inst
-    a = f.dom
-    lhs = compose(
-        tensor_all([f, mass(f)]), copy_n(inst, a, 2)
-    )  # cod (X x Y) x I = X x Y strictly
-    rhs = compose(tensor_all([fx, fy]), copy_n(inst, a, 2))
-    return lhs == rhs
+    # The codomain (X x Y) x I of the left side is X x Y strictly.
+    return pairing(f, mass(f)) == pairing(fx, fy)
 
 
 def check_local_independence(

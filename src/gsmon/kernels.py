@@ -88,13 +88,14 @@ def identity(inst: MonadInstance, x: FinSet) -> Kernel:
     return from_columns(inst, x, x, lambda e: inst.unit(x, e))
 
 
-def copy_k(inst: MonadInstance, x: FinSet) -> Kernel:
-    xx = product([x, x])
-    return from_columns(inst, x, xx, lambda e: inst.unit(xx, e + e))
+def copy_k(inst: MonadInstance, x: FinSet, n: int = 2) -> Kernel:
+    """The n-fold copy X -> X x ... x X (n = 1 gives the identity, n = 0 discard)."""
+    cod = product([x] * n)
+    return from_columns(inst, x, cod, lambda e: inst.unit(cod, e * n))
 
 
 def discard_k(inst: MonadInstance, x: FinSet) -> Kernel:
-    return from_columns(inst, x, UNIT, lambda e: inst.unit(UNIT, ()))
+    return copy_k(inst, x, 0)
 
 
 def swap_k(inst: MonadInstance, x: FinSet, y: FinSet) -> Kernel:
@@ -137,17 +138,17 @@ def tensor_all(kernels: Sequence[Kernel]) -> Kernel:
     return result
 
 
-def pairing(f: Kernel, g: Kernel) -> Kernel:
-    """The copy-then-tensor product (f, g) : X -> Y (x) Z of same-domain kernels."""
-    if f.dom != g.dom:
+def pairing(*kernels: Kernel) -> Kernel:
+    """The copy-then-tensor product (f_1, ..., f_n) : X -> Y_1 (x) ... (x) Y_n
+    of same-domain kernels."""
+    dom = kernels[0].dom
+    if any(k.dom != dom for k in kernels):
         raise TypeMismatch("pairing requires a common domain")
-    return compose(tensor(f, g), copy_k(f.inst, f.dom))
+    return compose(tensor_all(kernels), copy_k(kernels[0].inst, dom, len(kernels)))
 
 
 def is_copyable(f: Kernel) -> bool:
-    lhs = compose(copy_k(f.inst, f.cod), f)
-    rhs = compose(tensor(f, f), copy_k(f.inst, f.dom))
-    return lhs == rhs
+    return compose(copy_k(f.inst, f.cod), f) == pairing(f, f)
 
 
 def is_discardable(f: Kernel) -> bool:
@@ -170,17 +171,13 @@ def effect_mul(a: Kernel, b: Kernel) -> Kernel:
     """
     _require_effect(a)
     _require_effect(b)
-    if a.dom != b.dom:
-        raise TypeMismatch("effect product requires a common domain")
-    return compose(tensor(a, b), copy_k(a.inst, a.dom))
+    return pairing(a, b)
 
 
 def scalar_action(a: Kernel, f: Kernel) -> Kernel:
     """The action of the effect monoid on C(X, Y): (a (x) f) o copy."""
     _require_effect(a)
-    if a.dom != f.dom:
-        raise TypeMismatch("scalar action requires a common domain")
-    return compose(tensor(a, f), copy_k(f.inst, f.dom))
+    return pairing(a, f)
 
 
 def try_effect_inverse(a: Kernel) -> tuple:
@@ -200,8 +197,8 @@ def try_effect_inverse(a: Kernel) -> tuple:
     return Kernel(inst, a.dom, UNIT, inverted), None
 
 
-def normalize(f: Kernel) -> tuple:
-    """Split f into (mass, normalization) with f = mass . n and n discardable."""
+def _inverse_mass(f: Kernel) -> tuple:
+    """(mass(f), its inverse in the effect monoid), or NotNormalizable."""
     m = mass(f)
     inv, witness = try_effect_inverse(m)
     if inv is None:
@@ -209,8 +206,13 @@ def normalize(f: Kernel) -> tuple:
             f"mass of {f.inst.id} kernel not invertible at {elem_to_str(witness)}",
             witness=witness,
         )
-    n = scalar_action(inv, f)
-    return m, n
+    return m, inv
+
+
+def normalize(f: Kernel) -> tuple:
+    """Split f into (mass, normalization) with f = mass . n and n discardable."""
+    m, inv = _inverse_mass(f)
+    return m, scalar_action(inv, f)
 
 
 def equivalent(f: Kernel, g: Kernel) -> Optional[Kernel]:
@@ -219,13 +221,7 @@ def equivalent(f: Kernel, g: Kernel) -> Optional[Kernel]:
     possibility because the scalar action is free."""
     if f.dom != g.dom or f.cod != g.cod or f.inst.id != g.inst.id:
         raise TypeMismatch("equivalence requires parallel kernels")
-    m_inv, witness = try_effect_inverse(mass(f))
-    if m_inv is None:
-        raise NotNormalizable(
-            f"mass of left kernel not invertible at {elem_to_str(witness)}",
-            witness=witness,
-        )
-    candidate = effect_mul(m_inv, mass(g))
+    candidate = effect_mul(_inverse_mass(f)[1], mass(g))
     if scalar_action(candidate, f) == g:
         return candidate
     return None

@@ -239,18 +239,16 @@ class _MeasureBase(_TableMonad):
             ),
         )
 
+    def t1_inverse(self, t: TValue) -> Optional[TValue]:
+        v = t.payload[0]
+        return None if v == 0 else self.make(UNIT, (1 / v,))
+
 
 class MeasureMonad(_MeasureBase):
     """Finitely supported nonnegative rational measures."""
 
     id = "M"
     has_zero = True
-
-    def t1_inverse(self, t: TValue) -> Optional[TValue]:
-        v = t.payload[0]
-        if v == 0:
-            return None
-        return self.make(UNIT, (1 / v,))
 
     def noninvertible_t1_candidate(self) -> Optional[TValue]:
         return self.zero(UNIT)
@@ -287,9 +285,6 @@ class NonzeroMeasureMonad(_MeasureBase):
             except PayloadInvalid:
                 continue
 
-    def t1_inverse(self, t: TValue) -> Optional[TValue]:
-        return self.make(UNIT, (1 / t.payload[0],))
-
     def solver_classification(self, trials: int, rng: random.Random) -> "Classification":
         one = self.unit(UNIT, ())
         for _ in range(trials):
@@ -325,9 +320,6 @@ class DistributionMonad(_MeasureBase):
             total = sum(raw)
             if total != 0:
                 return self.make(base, tuple(v / total for v in raw))
-
-    def t1_inverse(self, t: TValue) -> Optional[TValue]:
-        return self.make(UNIT, (ONE,))
 
     def solver_classification(self, trials: int, rng: random.Random) -> "Classification":
         one = self.unit(UNIT, ())
@@ -551,7 +543,7 @@ class FreeAbelianMonad(_TableMonad):
         return self.make(base, tuple(rng.randint(-1, 1) for _ in base))
 
     def noninvertible_t1_candidate(self) -> Optional[TValue]:
-        return self.make(UNIT, (2,))
+        return None if self.bound < 2 else self.make(UNIT, (2,))
 
 
 @dataclass
@@ -624,12 +616,13 @@ def classification_of(inst: MonadInstance) -> Classification:
 # Law suite
 
 
-_LAW_BUDGET = 20000
+# The most kernels one law pool, or factor combinations one CI search, may take.
+ENUMERATION_BUDGET = 20000
 
 
 def _all_kernels(inst, dom: FinSet, cod: FinSet):
     values = list(inst.enumerate_values(cod))
-    if len(values) ** len(dom) > _LAW_BUDGET:
+    if len(values) ** len(dom) > ENUMERATION_BUDGET:
         raise NotEnumerable(
             f"{inst.id}: {len(values)}^{len(dom)} kernels exceed the enumeration budget"
         )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import InvariantViolation, NoSolverForRandomized, NotEnumerable
+from .errors import InvariantViolation, NoSolverForRandomized, NotEnumerable, PayloadInvalid
 from .finset import FinSet, UNIT, fun_from_callable, product, projection_fun
 from .kernels import Kernel, enumerate_kernels, sample_kernel, try_effect_inverse
 from .monads import (
@@ -145,9 +145,7 @@ def check_pullback(
             for v in _enumerate_corner(square.inst, square.bl):
                 if ru != square.bottom(v):
                     continue
-                found = [
-                    t for t in apexes if square.top(t) == u and square.left(t) == v
-                ]
+                found = _mediators(square, apexes, u, v)
                 if len(found) != 1:
                     return CheckReport(
                         name=name,
@@ -205,15 +203,16 @@ def _nonzero_scalar(rng) -> Fraction:
     return Fraction(rng.randint(1, SAMPLE_NUM_MAX), rng.randint(1, SAMPLE_DEN_MAX))
 
 
+def _mediators(square: Square, apexes, u, v) -> list:
+    """The apexes t with top(t) == u and left(t) == v, by a linear scan."""
+    return [t for t in apexes if square.top(t) == u and square.left(t) == v]
+
+
 def _search_solver(square: Square):
     """Fallback mediator search over an enumerable apex corner."""
 
     def solver(u, v):
-        found = [
-            t
-            for t in _enumerate_corner(square.inst, square.tl)
-            if square.top(t) == u and square.left(t) == v
-        ]
+        found = _mediators(square, _enumerate_corner(square.inst, square.tl), u, v)
         return found[0] if len(found) == 1 else None
 
     return solver
@@ -247,7 +246,7 @@ def assoc_square(inst: MonadInstance, x: FinSet, y: FinSet, z: FinSet) -> Square
             try:
                 u = (_scale(inst, u[0], lam), _scale(inst, u[1], 1 / lam))
                 v = (_scale(inst, v[0], mu), _scale(inst, v[1], 1 / mu))
-            except Exception:
+            except PayloadInvalid:
                 u = top((tx, ty, tz))
                 v = left((tx, ty, tz))
         return u, v
@@ -282,7 +281,7 @@ def assoc_square(inst: MonadInstance, x: FinSet, y: FinSet, z: FinSet) -> Square
             )
         try:
             by = inst.make(y, by_vals)
-        except Exception:
+        except PayloadInvalid:
             return None
         t = (t_x, by, t_z)
         if top(t) == u and left(t) == v:

@@ -64,6 +64,13 @@ def test_classify_single_monad(capsys):
     assert doc["checks"][0]["kind"] == "weakly_affine_not_affine"
 
 
+def test_classify_f_with_bound_1_finds_the_zero_witness(capsys):
+    code, doc = run_json(capsys, "classify", "--monad", "F", "--bound", "1")
+    assert code == 0
+    assert doc["checks"][0]["kind"] == "not_weakly_affine"
+    assert doc["checks"][0]["witness"] == "F(B=1){zero}"
+
+
 def test_classify_unknown_monad_exits_2(capsys):
     assert main(["classify", "--monad", "bogus"]) == 2
 

@@ -12,6 +12,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -35,10 +37,10 @@ RUNS = {
 for _family in KERNELS:
     RUNS[f"ci-{_family}"] = ("check", "ci", "--kernel", f"<kernel:{_family}>",
                              "--partition", "X|Y", "--seed", "42")
-# F is decided by factor search.  Bound 1 keeps the search small and every
-# product of two multiplicities inside the bound; the auto method would first
-# classify F(B=1), whose preferred witness 2 is itself out of bound.
+# F is decided by factor search within the enumeration budget; bound 1 keeps
+# the recorded search to 9 x 9 factor combinations per column.
 RUNS["ci-F"] += ("--bound", "1", "--method", "exhaustive")
+CI_RUNS = sorted(name for name in RUNS if name.startswith("ci-"))
 
 
 def kernel_path(family: str) -> str:
@@ -86,6 +88,52 @@ def test_cli_output_matches_golden(name):
     code, text = run_cli(RUNS[name])
     assert text == _golden(f"{name}.json")
     assert code == (0 if json.loads(text)["summary"] == "pass" else 1)
+
+
+# Replays the named runs and prints {"optimize": level, name: [code, text]}.
+REPLAY = """
+import json, sys
+import test_golden
+out = {name: test_golden.run_cli(test_golden.RUNS[name]) for name in sys.argv[1:]}
+out["optimize"] = sys.flags.optimize
+json.dump(out, sys.stdout)
+"""
+
+
+def test_ci_runs_match_golden_under_optimize():
+    """The certificate re-verification is control flow, not assert, so the
+    CI runs give the same bytes under python -O."""
+    import gsmon
+
+    src = os.path.dirname(os.path.dirname(gsmon.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", REPLAY, *CI_RUNS],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out.pop("optimize") == 1
+    assert sorted(out) == CI_RUNS
+    for name, (code, text) in out.items():
+        assert text == _golden(f"{name}.json"), name
+        assert code == (0 if json.loads(text)["summary"] == "pass" else 1)
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4])
+def test_ci_on_f_is_decided_above_bound_1(bound):
+    argv = RUNS["ci-F"][:-4] + ("--bound", str(bound), "--method", "exhaustive")
+    code, text = run_cli(argv)
+    assert code == 0
+    assert text == _golden("ci-F.json").replace("F(B=1)", f"F(B={bound})")
+
+
+def test_ci_on_f_over_the_enumeration_budget_exits_2(capsys):
+    argv = RUNS["ci-F"][:-4] + ("--method", "exhaustive")
+    code, text = run_cli(argv)
+    assert code == 2
+    assert text == ""
+    assert "1185921 factor combinations" in capsys.readouterr().err
 
 
 def test_kernel_encodings_match_golden():

@@ -9,7 +9,6 @@ from gsmon.independence import (
     check_ci,
     check_ci_n2_equation,
     check_local_independence,
-    copy_n,
     marginal,
     product_of_factors,
     product_of_marginals,
@@ -64,18 +63,20 @@ def test_check_ci_validates_partitions():
 
 def test_outer_product_kernel_is_ci():
     rng = random.Random(12)
-    gx = sample_kernel(MSTAR, A2, X, rng)
-    gy = sample_kernel(MSTAR, A2, Y, rng)
     cod = product([X, Y])
-    f = product_of_factors(
-        Kernel(MSTAR, A2, cod, [MSTAR.sample(cod, rng) for _ in A2]),
-        [X, Y],
-        [gx, gy],
-        [[0], [1]],
-    )
-    for method in ("equivalence", "rank1"):
-        result = check_ci(f, [X, Y], [[0], [1]], method=method)
-        assert result.holds, (method, result.witness)
+    # In D (affine) rank1 must renormalize its factors into distributions.
+    for inst in (MSTAR, get_instance("D")):
+        gx = sample_kernel(inst, A2, X, rng)
+        gy = sample_kernel(inst, A2, Y, rng)
+        f = product_of_factors(
+            Kernel(inst, A2, cod, [inst.sample(cod, rng) for _ in A2]),
+            [X, Y],
+            [gx, gy],
+            [[0], [1]],
+        )
+        for method in ("equivalence", "rank1"):
+            result = check_ci(f, [X, Y], [[0], [1]], method=method)
+            assert result.holds, (inst.id, method, result.witness)
 
 
 def test_diagonal_measure_is_not_ci():
@@ -202,10 +203,3 @@ def test_local_independence_vacuous_case():
     report = check_local_independence(f, factors)
     assert report.passed
     assert "vacuous" in report.note
-
-
-def test_copy_n_degenerates_to_discard():
-    k = copy_n(M, X, 0)
-    assert k.cod.elements == ((),)
-    k3 = copy_n(M, X, 3)
-    assert k3(("x1",)).payload[k3.cod.index(("x1", "x1", "x1"))] == 1

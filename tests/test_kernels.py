@@ -161,6 +161,20 @@ def test_pairing_is_copy_then_tensor():
         pairing(ident, identity(w, Y))
 
 
+def test_ternary_pairing_equals_nested_binary_pairings():
+    rng = random.Random(3)
+    f, g, h = (sample_kernel(M, X, cod, rng) for cod in (Y, X, Y))
+    assert pairing(f, g, h) == pairing(pairing(f, g), h) == pairing(f, pairing(g, h))
+
+
+def test_copy_k_degenerates_to_discard():
+    k = copy_k(M, X, 0)
+    assert k.cod.elements == ((),)
+    assert copy_k(M, X, 1) == identity(M, X)
+    k3 = copy_k(M, X, 3)
+    assert k3(("x1",)).payload[k3.cod.index(("x1", "x1", "x1"))] == 1
+
+
 def test_enumerate_and_sample_kernels():
     w = get_instance("writer:Z2")
     ks = list(enumerate_kernels(w, X, Y))
