@@ -28,7 +28,7 @@ class FinSet:
     the same arity (atom count) so that products cannot collide.
     """
 
-    __slots__ = ("name", "elements", "arity", "_index")
+    __slots__ = ("name", "elements", "arity", "_index", "_hash")
 
     def __init__(self, name: str, elements: Sequence[Elem]):
         elems = tuple(tuple(e) for e in elements)
@@ -41,6 +41,7 @@ class FinSet:
         self.elements = elems
         self.arity = arities.pop() if arities else 0
         self._index = {e: i for i, e in enumerate(elems)}
+        self._hash = hash(elems)
 
     @classmethod
     def of(cls, name: str, labels: Sequence[str]) -> "FinSet":
@@ -66,7 +67,7 @@ class FinSet:
         return isinstance(other, FinSet) and self.elements == other.elements
 
     def __hash__(self) -> int:
-        return hash(self.elements)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"FinSet({self.name!r}, {len(self)} elements)"
@@ -75,17 +76,25 @@ class FinSet:
 UNIT = FinSet("I", ((),))
 
 
+# Every product built so far, keyed by its factors' names and elements: set
+# equality ignores names, but a product's name is part of its output.
+_products: dict = {(): UNIT}
+
+
 def product(factors: Sequence[FinSet]) -> FinSet:
-    """Cartesian product with lexicographic order; empty input gives UNIT."""
-    factors = list(factors)
-    if not factors:
-        return UNIT
-    names = [f.name for f in factors if f.arity > 0] or ["I"]
-    name = "x".join(names)
+    """Cartesian product with lexicographic order; empty input gives UNIT.
+
+    Each distinct product is built once and then shared."""
+    key = tuple((f.name, f) for f in factors)
+    out = _products.get(key)
+    if out is not None:
+        return out
+    names = [name for name, f in key if f.arity > 0] or ["I"]
     elements = tuple(
-        sum(combo, ()) for combo in itertools.product(*(f.elements for f in factors))
+        sum(combo, ()) for combo in itertools.product(*(f.elements for _, f in key))
     )
-    return FinSet(name, elements)
+    _products[key] = out = FinSet("x".join(names), elements)
+    return out
 
 
 @dataclass(frozen=True)

@@ -139,13 +139,16 @@ def check_pullback(
         )
 
     if mode == "exhaustive":
-        apexes = list(_enumerate_corner(square.inst, square.tl))
+        # Index the apexes by their projections and bucket the bottom-left
+        # corner by its bottom edge (keeping enumeration order), so the cones
+        # are visited in the order of the plain nested scan over TR x BL.
+        index = _apex_index(square)
+        by_bottom = {}
+        for v in _enumerate_corner(square.inst, square.bl):
+            by_bottom.setdefault(square.bottom(v), []).append(v)
         for u in _enumerate_corner(square.inst, square.tr):
-            ru = square.right(u)
-            for v in _enumerate_corner(square.inst, square.bl):
-                if ru != square.bottom(v):
-                    continue
-                found = _mediators(square, apexes, u, v)
+            for v in by_bottom.get(square.right(u), ()):
+                found = index.get((u, v), ())
                 if len(found) != 1:
                     return CheckReport(
                         name=name,
@@ -203,16 +206,24 @@ def _nonzero_scalar(rng) -> Fraction:
     return Fraction(rng.randint(1, SAMPLE_NUM_MAX), rng.randint(1, SAMPLE_DEN_MAX))
 
 
-def _mediators(square: Square, apexes, u, v) -> list:
-    """The apexes t with top(t) == u and left(t) == v, by a linear scan."""
-    return [t for t in apexes if square.top(t) == u and square.left(t) == v]
+def _apex_index(square: Square) -> dict:
+    """Every apex t of the enumerable corner, listed under (top(t), left(t))."""
+    index = {}
+    for t in _enumerate_corner(square.inst, square.tl):
+        index.setdefault((square.top(t), square.left(t)), []).append(t)
+    return index
 
 
 def _search_solver(square: Square):
-    """Fallback mediator search over an enumerable apex corner."""
+    """Fallback mediator search over an enumerable apex corner, through an
+    apex index built on the first call."""
+    index = None
 
     def solver(u, v):
-        found = _mediators(square, _enumerate_corner(square.inst, square.tl), u, v)
+        nonlocal index
+        if index is None:
+            index = _apex_index(square)
+        found = index.get((u, v), ())
         return found[0] if len(found) == 1 else None
 
     return solver
@@ -398,6 +409,8 @@ def build_square(kind: str, inst: MonadInstance, sizes: Sequence[int]) -> Square
         if len(sets) != 3:
             raise NotEnumerable("assoc square needs three sizes")
         return assoc_square(inst, *sets)
+    if kind in ("strong-affine", "strong_affine", "positivity") and len(sets) < 2:
+        raise NotEnumerable(f"{kind} square needs two sizes")
     if kind in ("strong-affine", "strong_affine"):
         return strong_affine_square(inst, *sets[:2])
     if kind == "positivity":

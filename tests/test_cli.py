@@ -133,6 +133,13 @@ def test_check_pullback_violation_exits_1(capsys):
     assert doc["summary"] == "fail"
 
 
+@pytest.mark.parametrize("kind", ["strong-affine", "positivity"])
+def test_two_object_square_with_one_size_exits_2(capsys, kind):
+    code = main(["check", "pullback", "--square", kind, "--monad", "P", "--sizes", "3"])
+    assert code == 2
+    assert f"{kind} square needs two sizes" in capsys.readouterr().err
+
+
 def test_check_pullback_pass(capsys):
     code, doc = run_json(
         capsys, "check", "pullback", "--square", "strong-affine", "--monad", "D",

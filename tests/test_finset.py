@@ -43,6 +43,16 @@ def test_set_equality_ignores_name():
     assert hash(FinSet.of("A", ["x0", "x1"])) == hash(X)
 
 
+def test_products_of_equal_sets_keep_their_names():
+    a = FinSet.of("A", ["p", "q"])
+    b = FinSet.of("B", ["p", "q"])
+    assert a == b and hash(a) == hash(b)
+    assert product([a, a]).name == "AxA"
+    assert product([b, b]).name == "BxB"
+    assert product([a, b]).name == "AxB"
+    assert product([a, b]) is product([FinSet.of("A", ["p", "q"]), b])
+
+
 def test_duplicate_and_mixed_arity_rejected():
     with pytest.raises(MalformedInput):
         FinSet.of("bad", ["a", "a"])

@@ -2,10 +2,13 @@
 
 The files under ``tests/golden/`` were recorded from the code before the
 per-monad text and JSON forms moved into the instance classes; they pin
-every ``describe`` form and every JSON value form.  The kernel path in a
-``check ci`` report is replaced by ``<kernel>`` so the files do not depend
-on where the repository lives.  To re-record them from the code on the
-path: ``PYTHONPATH=src:tests python -c "import test_golden; test_golden.record()"``.
+every ``describe`` form and every JSON value form.  The ``pullback-writer-*``
+files were recorded from the code before the cone loop and the search solver
+became an index-and-join; they pin the first failing cone and its mediator
+count.  The kernel path in a ``check ci`` report is replaced by
+``<kernel>`` so the files do not depend on where the repository lives.  To
+re-record them from the code on the path:
+``PYTHONPATH=src:tests python -c "import test_golden; test_golden.record()"``.
 """
 
 import contextlib
@@ -32,6 +35,20 @@ RUNS = {
     "pullback-M-222-random": (
         "check", "pullback", "--square", "assoc", "--monad", "M", "--sizes", "2,2,2",
         "--mode", "random", "--seed", "42",
+    ),
+    # The exhaustive cone loop: the first failing cone and its mediator count,
+    # and a passing square; then the search solver of an enumerable square.
+    "pullback-writer-AND-222": (
+        "check", "pullback", "--square", "assoc", "--monad", "writer:AND",
+        "--sizes", "2,2,2", "--seed", "42",
+    ),
+    "pullback-writer-Z2xZ2-222": (
+        "check", "pullback", "--square", "assoc", "--monad", "writer:Z2xZ2",
+        "--sizes", "2,2,2", "--seed", "42",
+    ),
+    "pullback-writer-Z2xZ2-222-random": (
+        "check", "pullback", "--square", "assoc", "--monad", "writer:Z2xZ2",
+        "--sizes", "2,2,2", "--mode", "random", "--trials", "500", "--seed", "42",
     ),
 }
 for _family in KERNELS:

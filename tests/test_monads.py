@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from gsmon.monads import (
     ALL_MONAD_IDS,
     FreeAbelianMonad,
     WriterMonad,
+    _all_kernels,
     check_monad_laws,
     classify,
     get_instance,
@@ -54,6 +56,44 @@ def test_law_suite_detects_a_broken_unit():
     report = check_monad_laws(broken, [1, 2], mode="exhaustive")
     assert not report.passed
     assert report.witness["law"] in ("kleisli_left_unit", "kleisli_right_unit")
+
+
+class _NonAssociativeWriter(WriterMonad):
+    """Writer monad whose extend drops col(x)'s label at x = s2_1 when t's
+    own label is not the unit: deterministic, both unit laws hold, but
+    Kleisli composition is not associative."""
+
+    def extend(self, col, cod, t):
+        a, x = t.payload
+        b, y = col(x).payload
+        if x == ("s2_1",) and a != self.monoid.label(self.monoid.unit):
+            b = self.monoid.label(self.monoid.unit)
+        return self.make(cod, (self._mul(a, b), y))
+
+
+def unmemoized_assoc_failure(inst, sizes):
+    """The t of the first (t, k, h) that fails Kleisli associativity, with
+    every extension computed afresh, in the order of the exhaustive law check."""
+    sets = [FinSet.of(f"S{n}", [f"s{n}_{i}" for i in range(1, n + 1)]) for n in sorted(set(sizes))]
+    for X, Y, Z in itertools.product(sets, repeat=3):
+        for t in inst.enumerate_values(X):
+            for k in _all_kernels(inst, X, Y):
+                for h in _all_kernels(inst, Y, Z):
+                    lhs = inst.extend(h, Z, inst.extend(k, Y, t))
+                    rhs = inst.extend(lambda e: inst.extend(h, Z, k(e)), Z, t)
+                    if lhs != rhs:
+                        return t
+    return None
+
+
+def test_memoized_law_table_finds_the_unmemoized_assoc_witness():
+    broken = _NonAssociativeWriter(get_monoid("Z3"))
+    report = check_monad_laws(broken, [1, 2], mode="exhaustive")
+    assert not report.passed
+    assert report.witness == {
+        "law": "kleisli_assoc",
+        "inputs": [unmemoized_assoc_failure(broken, [1, 2])],
+    }
 
 
 def test_measure_extend_is_matrix_composition():

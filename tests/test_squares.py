@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
 from gsmon.errors import InvariantViolation, NoSolverForRandomized
 from gsmon.finset import FinSet
 from gsmon.monads import get_instance
 from gsmon.monoid import MONOID_LIBRARY, is_group
+from gsmon.report import CheckReport
 from gsmon.squares import (
+    _enumerate_corner,
     assoc_square,
     build_square,
     check_commutes,
@@ -181,3 +185,80 @@ def test_randomized_verdicts_are_seed_deterministic():
         return check_pullback(sq, mode="randomized", trials=100, seed=13).to_json()
 
     assert run() == run()
+
+
+# ---------------------------------------------------------------------------
+# The plain scan that the indexed cone loop and the search solver replace,
+# kept as their oracle.
+
+LIBRARY_IDS = [f"writer:{name}" for name in sorted(MONOID_LIBRARY)] + ["P", "P*", "Id"]
+
+
+def projected_apexes(square) -> list:
+    """(top(t), left(t), t) for every apex t, in enumeration order."""
+    return [(square.top(t), square.left(t), t) for t in _enumerate_corner(square.inst, square.tl)]
+
+
+def scan_mediators(apexes, u, v) -> list:
+    """The apexes t with top(t) == u and left(t) == v, by a linear scan."""
+    return [t for top, left, t in apexes if top == u and left == v]
+
+
+def compatible_cones(square):
+    """Every (u, v) with right(u) == bottom(v), by the nested scan over TR x BL."""
+    for u in _enumerate_corner(square.inst, square.tr):
+        for v in _enumerate_corner(square.inst, square.bl):
+            if square.right(u) == square.bottom(v):
+                yield u, v
+
+
+def scan_pullback(square) -> CheckReport:
+    """The exhaustive cone loop of a commuting square: every compatible cone
+    is scanned against every apex."""
+    apexes = projected_apexes(square)
+    name = f"pullback[{square.name}]"
+    for u, v in compatible_cones(square):
+        found = scan_mediators(apexes, u, v)
+        if len(found) != 1:
+            witness = {"cone": [list(u), list(v)], "mediators": len(found)}
+            return CheckReport(name=name, passed=False, mode="exhaustive", witness=witness)
+    return CheckReport(name=name, passed=True, mode="exhaustive")
+
+
+@pytest.mark.parametrize(
+    "kind,sizes",
+    [("assoc", sizes) for sizes in TRIPLES] + [("strong-affine", (2, 2)), ("positivity", (2, 2))],
+)
+@pytest.mark.parametrize("monad_id", LIBRARY_IDS)
+def test_indexed_pullback_matches_the_scan(monad_id, kind, sizes):
+    square = build_square(kind, get_instance(monad_id), sizes)
+    report = check_pullback(square, mode="exhaustive")
+    if check_commutes(square).passed:
+        assert report.to_json() == scan_pullback(square).to_json()
+    else:  # both paths stop before the cone loop
+        assert report.note == "square does not commute; pullback not evaluated"
+
+
+def test_search_solver_matches_the_scan_on_every_cone():
+    square = build_square("assoc", get_instance("P"), (2, 1, 1))
+    apexes = projected_apexes(square)
+    counts = set()
+    for u, v in compatible_cones(square):
+        found = scan_mediators(apexes, u, v)
+        counts.add(min(len(found), 2))
+        assert square.solver(u, v) == (found[0] if len(found) == 1 else None)
+    assert counts == {0, 1, 2}
+
+
+def test_search_solver_indexes_the_apexes_on_its_first_call():
+    square = build_square("assoc", get_instance("writer:Z2"), (1, 2, 1))
+    calls = []
+    top = square.top
+    square.top = lambda t: calls.append(t) or top(t)
+    apexes = len(list(_enumerate_corner(square.inst, square.tl)))
+    u, v = square.cone_sampler(random.Random(1))
+    assert calls == []
+    assert square.solver(u, v) is not None
+    assert len(calls) == apexes
+    assert square.solver(u, v) is not None
+    assert len(calls) == apexes
