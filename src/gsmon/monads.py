@@ -8,6 +8,7 @@ satisfy the monad laws -- `check_monad_laws` verifies them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import re
@@ -651,6 +652,7 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
     unit_y = lambda e: inst.unit(Y, e)
     id_x = identity_fun(X)
     swap_xy = swap_fun(X, Y)
+    pair = functools.cache(pair_fun)  # f x g, once per (f, g) in this table
     memo = {}
 
     def ext(kern, cod, t):
@@ -678,7 +680,7 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
         ("unit_naturality", "xf",
          lambda x, f: inst.map(f, inst.unit(X, x)) == inst.unit(Y, f(x)), "x"),
         ("c_naturality", "tufg",
-         lambda t, u, f, g: inst.map(pair_fun(f, g), inst.lax_c(t, u))
+         lambda t, u, f, g: inst.map(pair(f, g), inst.lax_c(t, u))
          == inst.lax_c(inst.map(f, t), inst.map(g, u)), "tu"),
         ("c_symmetry", "tu",
          lambda t, u: inst.map(swap_xy, inst.lax_c(t, u)) == inst.lax_c(u, t), "tu"),

@@ -19,12 +19,12 @@ Rat = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RAT_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def parse_rat(text: str) -> Fraction:
     """Parse ``"p/q"`` or ``"p"`` into a reduced Fraction."""
-    if not _RAT_RE.match(text):
+    if not _RAT_RE.fullmatch(text):
         raise MalformedInput(f"not a rational literal: {text!r}")
     try:
         return Fraction(text)

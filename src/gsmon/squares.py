@@ -5,8 +5,9 @@ structure maps, the strongly-affine square (unit vs. strength) and the
 positivity square (discard vs. strength).  Corners are finite products of
 plain finite sets and T-carriers; pullbacks are checked exhaustively where
 every corner is enumerable, and otherwise by seeded sampling of compatible
-cones combined with a per-instance mediating-element solver whose output is
-always re-verified against both projection equations.
+cones whose mediating apex, read from the square's apex index (enumerable
+instances) or from its hand-written solver (the others), is re-verified
+against both projection equations.
 
 A randomized "pass" means "no counterexample found in N trials", never a
 proof.
@@ -58,9 +59,30 @@ class Square:
     right: Callable
     bottom: Callable
     cone_sampler: Optional[Callable] = None  # rng -> (u, v), always compatible
-    solver: Optional[Callable] = None  # (u, v) -> mediating apex or None
+    solver: Optional[Callable] = None  # (u, v) -> mediator or None, if not enumerable
     degenerate_apexes: list = field(default_factory=list)
     degenerate_cones: list = field(default_factory=list)
+    _apexes: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
+
+    def apex_index(self) -> dict:
+        """Every apex t, listed under (top(t), left(t)) in enumeration order.
+
+        Built on the first call and shared by the exhaustive commutation
+        check, the exhaustive cone join and the randomized mediator lookup."""
+        if self._apexes is None:
+            index = {}
+            for t in _enumerate_corner(self.inst, self.tl):
+                index.setdefault((self.top(t), self.left(t)), []).append(t)
+            self._apexes = index
+        return self._apexes
+
+    def mediator(self, u, v):
+        """The unique apex over the cone (u, v), or None: read from the apex
+        index of an enumerable instance, else asked of the solver."""
+        if not self.inst.enumerable:
+            return self.solver(u, v)
+        found = self.apex_index().get((u, v), ())
+        return found[0] if len(found) == 1 else None
 
 
 def _enumerate_corner(inst, corner) -> Iterator[tuple]:
@@ -73,12 +95,15 @@ def _enumerate_corner(inst, corner) -> Iterator[tuple]:
     return itertools.product(*pools)
 
 
-def _sample_corner(inst, corner, rng, zero_prob=0.0) -> tuple:
+ZERO_PROB = 0.1  # chance that a sampled apex takes the zero value, when there is one
+
+
+def _sample_corner(inst, corner, rng) -> tuple:
     out = []
     for comp in corner:
         if comp.kind == "set":
             out.append(rng.choice(comp.space.elements))
-        elif inst.has_zero and zero_prob and rng.random() < zero_prob:
+        elif inst.has_zero and rng.random() < ZERO_PROB:
             out.append(inst.zero(comp.space))
         else:
             out.append(inst.sample(comp.space, rng))
@@ -88,36 +113,33 @@ def _sample_corner(inst, corner, rng, zero_prob=0.0) -> tuple:
 def check_commutes(
     square: Square, mode: str = "exhaustive", trials: int = 500, seed: int = 42
 ) -> CheckReport:
-    """Verify right(top(t)) == bottom(left(t)) over apex elements."""
+    """Verify right(top(t)) == bottom(left(t)) over apex elements; exhaustively
+    once per key of the apex index, whose first apex is the witness."""
     name = f"commutes[{square.name}]"
 
-    def run(t):
-        if square.right(square.top(t)) != square.bottom(square.left(t)):
-            return CheckReport(
-                name=name,
-                passed=False,
-                mode=mode,
-                trials=trials if mode == "randomized" else 0,
-                seed=seed if mode == "randomized" else None,
-                witness={"apex": list(t)},
-            )
-        return None
+    def fail(t):
+        return CheckReport(
+            name=name,
+            passed=False,
+            mode=mode,
+            trials=trials if mode == "randomized" else 0,
+            seed=seed if mode == "randomized" else None,
+            witness={"apex": list(t)},
+        )
 
     if mode == "exhaustive":
-        for t in _enumerate_corner(square.inst, square.tl):
-            bad = run(t)
-            if bad:
-                return bad
+        for (u, v), apexes in square.apex_index().items():
+            if square.right(u) != square.bottom(v):
+                return fail(apexes[0])
         return CheckReport(name=name, passed=True, mode="exhaustive")
     rng = random.Random(seed)
-    for t in square.degenerate_apexes:
-        bad = run(t)
-        if bad:
-            return bad
-    for _ in range(trials):
-        bad = run(_sample_corner(square.inst, square.tl, rng, zero_prob=0.1))
-        if bad:
-            return bad
+    apexes = itertools.chain(
+        square.degenerate_apexes,
+        (_sample_corner(square.inst, square.tl, rng) for _ in range(trials)),
+    )
+    for t in apexes:
+        if square.right(square.top(t)) != square.bottom(square.left(t)):
+            return fail(t)
     return CheckReport(name=name, passed=True, mode="randomized", trials=trials, seed=seed)
 
 
@@ -139,10 +161,10 @@ def check_pullback(
         )
 
     if mode == "exhaustive":
-        # Index the apexes by their projections and bucket the bottom-left
-        # corner by its bottom edge (keeping enumeration order), so the cones
-        # are visited in the order of the plain nested scan over TR x BL.
-        index = _apex_index(square)
+        # Bucket the bottom-left corner by its bottom edge (keeping
+        # enumeration order), so the cones are visited in the order of the
+        # plain nested scan over TR x BL, and read mediators from the index.
+        index = square.apex_index()
         by_bottom = {}
         for v in _enumerate_corner(square.inst, square.bl):
             by_bottom.setdefault(square.bottom(v), []).append(v)
@@ -161,7 +183,7 @@ def check_pullback(
                     )
         return CheckReport(name=name, passed=True, mode="exhaustive")
 
-    if square.cone_sampler is None or square.solver is None:
+    if square.cone_sampler is None or (square.solver is None and not square.inst.enumerable):
         raise NoSolverForRandomized(
             f"{square.name}: randomized pullback check needs a cone sampler and a solver"
         )
@@ -172,7 +194,7 @@ def check_pullback(
         u, v = cones[i] if i < len(cones) else square.cone_sampler(rng)
         if square.right(u) != square.bottom(v):
             raise InvariantViolation(f"{square.name}: cone sampler produced an incompatible cone")
-        t = square.solver(u, v)
+        t = square.mediator(u, v)
         if t is None:
             return CheckReport(
                 name=name,
@@ -204,29 +226,6 @@ def _scale(inst, t: TValue, factor: Fraction) -> TValue:
 
 def _nonzero_scalar(rng) -> Fraction:
     return Fraction(rng.randint(1, SAMPLE_NUM_MAX), rng.randint(1, SAMPLE_DEN_MAX))
-
-
-def _apex_index(square: Square) -> dict:
-    """Every apex t of the enumerable corner, listed under (top(t), left(t))."""
-    index = {}
-    for t in _enumerate_corner(square.inst, square.tl):
-        index.setdefault((square.top(t), square.left(t)), []).append(t)
-    return index
-
-
-def _search_solver(square: Square):
-    """Fallback mediator search over an enumerable apex corner, through an
-    apex index built on the first call."""
-    index = None
-
-    def solver(u, v):
-        nonlocal index
-        if index is None:
-            index = _apex_index(square)
-        found = index.get((u, v), ())
-        return found[0] if len(found) == 1 else None
-
-    return solver
 
 
 def assoc_square(inst: MonadInstance, x: FinSet, y: FinSet, z: FinSet) -> Square:
@@ -320,8 +319,6 @@ def assoc_square(inst: MonadInstance, x: FinSet, y: FinSet, z: FinSet) -> Square
             p = c(inst.unit(y, y.elements[0]), inst.unit(z, z.elements[0]))
             q = c(inst.unit(x, x.elements[0]), inst.unit(y, y.elements[0]))
             square.degenerate_cones = [((inst.zero(x), p), (q, inst.zero(z)))]
-    elif inst.enumerable:
-        square.solver = _search_solver(square)
     return square
 
 
@@ -365,8 +362,6 @@ def strong_affine_square(inst: MonadInstance, x: FinSet, y: FinSet) -> Square:
     )
     if inst.has_zero:
         square.degenerate_apexes = [(x.elements[0], inst.zero(y))]
-    if inst.enumerable:
-        square.solver = _search_solver(square)
     return square
 
 
@@ -383,7 +378,7 @@ def positivity_square(inst: MonadInstance, x: FinSet, y: FinSet) -> Square:
     right = lambda u: (inst.map(proj1, u[0]),)
     bottom = lambda v: (inst.strength(x, v[0], v[1]),)
 
-    square = Square(
+    return Square(
         name=f"positivity[{inst.id};{len(x)},{len(y)}]",
         inst=inst,
         tl=(Component("set", x), Component("T", y)),
@@ -395,9 +390,6 @@ def positivity_square(inst: MonadInstance, x: FinSet, y: FinSet) -> Square:
         right=right,
         bottom=bottom,
     )
-    if inst.enumerable:
-        square.solver = _search_solver(square)
-    return square
 
 
 def build_square(kind: str, inst: MonadInstance, sizes: Sequence[int]) -> Square:
@@ -409,9 +401,9 @@ def build_square(kind: str, inst: MonadInstance, sizes: Sequence[int]) -> Square
         if len(sets) != 3:
             raise NotEnumerable("assoc square needs three sizes")
         return assoc_square(inst, *sets)
-    if kind in ("strong-affine", "strong_affine", "positivity") and len(sets) < 2:
+    if kind in ("strong-affine", "positivity") and len(sets) < 2:
         raise NotEnumerable(f"{kind} square needs two sizes")
-    if kind in ("strong-affine", "strong_affine"):
+    if kind == "strong-affine":
         return strong_affine_square(inst, *sets[:2])
     if kind == "positivity":
         return positivity_square(inst, *sets[:2])

@@ -176,6 +176,16 @@ def test_check_ci_bad_partition_exits_2(tmp_path, capsys):
     assert main(["check", "ci", "--kernel", path, "--partition", "X|W"]) == 2
 
 
+@pytest.mark.parametrize("entry", ["1\n", "3/4\n"])
+def test_check_ci_entry_with_trailing_newline_exits_2(tmp_path, capsys, entry):
+    doc = json.loads(json.dumps(KERNEL_CI))
+    doc["columns"]["a0"]["entries"]["x0,y0"] = entry
+    path = str(tmp_path / "f.json")
+    dump_json(doc, path)
+    assert main(["check", "ci", "--kernel", path, "--partition", "X|Y"]) == 2
+    assert "not a rational literal" in capsys.readouterr().err
+
+
 def test_check_ci_missing_file_exits_2(tmp_path):
     assert main(["check", "ci", "--kernel", str(tmp_path / "no.json"), "--partition", "X|Y"]) == 2
 

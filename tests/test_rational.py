@@ -36,7 +36,9 @@ def test_parse_plain_and_fraction():
     assert parse_rat("-3/9") == Fraction(-1, 3)
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "1.5", "a/b", "1/-2", "--3", " 1"])
+@pytest.mark.parametrize(
+    "bad", ["", "1/0", "1.5", "a/b", "1/-2", "--3", " 1", "1\n", "3/4\n", "\u0661/\u0662"]
+)
 def test_parse_rejects_garbage(bad):
     with pytest.raises(MalformedInput):
         parse_rat(bad)
