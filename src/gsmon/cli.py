@@ -68,7 +68,7 @@ def _parse_partition(expr: str, factors) -> list:
                 continue
             if token in names:
                 block.append(names.index(token))
-            elif token.isdigit():
+            elif token.isascii() and token.isdigit():
                 block.append(int(token))
             else:
                 raise GsmonError(f"unknown factor {token!r} in partition {expr!r}")
@@ -166,13 +166,12 @@ def cmd_classify(args) -> int:
 def cmd_check_laws(args) -> int:
     inst = get_instance(args.monad, bound=args.bound)
     mode = _normalize_mode(args.mode)
-    report = check_monad_laws(
-        inst, _parse_sizes(args.sizes), mode=mode, trials=args.trials, seed=args.seed
-    )
+    sizes = _parse_sizes(args.sizes)
+    report = check_monad_laws(inst, sizes, mode=mode, trials=args.trials, seed=args.seed)
     config = {
         "command": "check laws",
         "monad": inst.id,
-        "sizes": _parse_sizes(args.sizes),
+        "sizes": sizes,
         "mode": mode,
         "trials": args.trials,
         "seed": args.seed,
@@ -293,14 +292,22 @@ def cmd_report(args) -> int:
 # Argument parsing
 
 
-def _add_common(p, seed):
-    p.add_argument("--mode", default="exhaustive", help="exhaustive or random")
-    p.add_argument("--trials", type=int, default=500)
+OPTIONS = {
+    "mode": dict(default="exhaustive", help="exhaustive or random"),
+    "trials": dict(type=int, default=500),
+    "sizes": dict(default="2,2,2"),
+    "bound": dict(type=int, default=16, help="multiplicity bound for F"),
+}
+CHECK_OPTIONS = ("mode", "trials", "sizes", "bound")
+
+
+def _add_common(p, seed, *options):
+    """--seed, --format and --out, then the named entries of OPTIONS."""
     p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--sizes", default="2,2,2")
     p.add_argument("--format", choices=["json", "markdown"], default="json")
     p.add_argument("--out", default=None)
-    p.add_argument("--bound", type=int, default=16, help="multiplicity bound for F")
+    for name in options:
+        p.add_argument(f"--{name}", **OPTIONS[name])
 
 
 def build_parser(seed: int) -> argparse.ArgumentParser:
@@ -314,7 +321,7 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", help="affine / weakly affine / neither")
     p_classify.add_argument("--monad", default=None)
     p_classify.add_argument("--all", action="store_true")
-    _add_common(p_classify, seed)
+    _add_common(p_classify, seed, "trials", "bound")
     p_classify.set_defaults(handler=cmd_classify)
 
     p_check = sub.add_parser("check", help="run a verification suite")
@@ -322,12 +329,12 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
 
     p_laws = csub.add_parser("laws")
     p_laws.add_argument("--monad", required=True)
-    _add_common(p_laws, seed)
+    _add_common(p_laws, seed, *CHECK_OPTIONS)
     p_laws.set_defaults(handler=cmd_check_laws)
 
     p_thm = csub.add_parser("theorem")
     p_thm.add_argument("--monad", required=True)
-    _add_common(p_thm, seed)
+    _add_common(p_thm, seed, *CHECK_OPTIONS)
     p_thm.set_defaults(handler=cmd_check_theorem, sizes="1,1,1;2,1,1;2,2,2")
 
     p_pb = csub.add_parser("pullback")
@@ -337,20 +344,20 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
         choices=["assoc", "strong-affine", "positivity"],
     )
     p_pb.add_argument("--monad", required=True)
-    _add_common(p_pb, seed)
+    _add_common(p_pb, seed, *CHECK_OPTIONS)
     p_pb.set_defaults(handler=cmd_check_pullback)
 
     p_ci = csub.add_parser("ci")
     p_ci.add_argument("--kernel", required=True)
     p_ci.add_argument("--partition", required=True)
     p_ci.add_argument("--method", default="auto")
-    _add_common(p_ci, seed)
+    _add_common(p_ci, seed, "bound")
     p_ci.set_defaults(handler=cmd_check_ci)
 
     p_li = csub.add_parser("local-independence")
     p_li.add_argument("--kernel", required=True)
     p_li.add_argument("--method", default="auto")
-    _add_common(p_li, seed)
+    _add_common(p_li, seed, "bound")
     p_li.set_defaults(handler=cmd_check_local_independence)
 
     p_p21 = csub.add_parser("prop21")

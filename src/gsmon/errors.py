@@ -34,7 +34,7 @@ class NotEnumerable(GsmonError):
 
 
 class OutOfBound(GsmonError):
-    """A free-abelian-group multiplicity left the configured magnitude bound."""
+    """A decoded free-abelian-group value has a multiplicity over its bound."""
 
 
 class UndecidableWithoutSolver(GsmonError):

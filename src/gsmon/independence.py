@@ -11,6 +11,7 @@ enumerable instances.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,13 +21,11 @@ from .errors import (
     InvalidBlock,
     InvariantViolation,
     MethodInapplicable,
-    NotEnumerable,
-    OutOfBound,
     TypeMismatch,
 )
 from .finset import FinSet, fun_from_callable, product, projection_fun, regroup
 from .kernels import Kernel, compose, equivalent, lift, mass, pairing, scalar_action
-from .monads import ENUMERATION_BUDGET, classification_of
+from .monads import budgeted_product, classification_of
 from .report import CheckReport
 
 Partition = Sequence[Sequence[int]]
@@ -240,37 +239,19 @@ def _ci_exhaustive(f: Kernel, factors, partition) -> CIResult:
         raise MethodInapplicable(f"exhaustive CI search needs an enumerator ({f.inst.id})")
     inst = f.inst
     blocks, targets = _in_block_order(f, factors, partition)
-    n = len(blocks)
-    pools, combinations = [], 1
-    for b in blocks:
-        pool = list(itertools.islice(inst.enumerate_values(b), ENUMERATION_BUDGET + 1))
-        combinations *= len(pool)
-        if combinations > ENUMERATION_BUDGET:
-            raise NotEnumerable(
-                f"{inst.id}: at least {combinations} factor combinations per column"
-                f" exceed the enumeration budget of {ENUMERATION_BUDGET}"
-            )
-        pools.append(pool)
-    factor_columns = [[] for _ in range(n)]
+    combos = list(budgeted_product(
+        (inst.enumerate_values(b) for b in blocks), inst.id, "factor combinations per column"
+    ))
+    found = []
     for x, target in zip(f.dom.elements, targets):
-        found = None
-        for combo in itertools.product(*pools):
-            try:
-                acc = combo[0]
-                for t in combo[1:]:
-                    acc = inst.lax_c(acc, t)
-            except OutOfBound:
-                # Such a product cannot equal the validated target, and a
-                # zero target keeps its in-bound all-zero factoring.
-                continue
-            if acc == target:
-                found = combo
-                break
-        if found is None:
+        combo = next((c for c in combos if functools.reduce(inst.lax_c, c) == target), None)
+        if combo is None:
             return CIResult(False, "exhaustive_search", witness={"column": x})
-        for k in range(n):
-            factor_columns[k].append(found[k])
-    cert = [Kernel(inst, f.dom, blocks[k], factor_columns[k]) for k in range(n)]
+        found.append(combo)
+    cert = [
+        Kernel(inst, f.dom, block, [combo[k] for combo in found])
+        for k, block in enumerate(blocks)
+    ]
     return CIResult(True, "exhaustive_search", certificate=cert)
 
 

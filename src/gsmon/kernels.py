@@ -25,7 +25,7 @@ from .finset import (
     product,
     swap_fun,
 )
-from .monads import MonadInstance, TValue
+from .monads import MonadInstance, TValue, budgeted_product
 from .report import CheckReport
 
 
@@ -237,8 +237,8 @@ def _require_effect(a: Kernel):
 
 
 def enumerate_kernels(inst: MonadInstance, dom: FinSet, cod: FinSet) -> Iterator[Kernel]:
-    values = list(inst.enumerate_values(cod))
-    for combo in itertools.product(values, repeat=len(dom)):
+    pools = (inst.enumerate_values(cod) for _ in dom)
+    for combo in budgeted_product(pools, inst.id, f"kernels {dom.name} -> {cod.name}"):
         yield Kernel(inst, dom, cod, combo)
 
 

@@ -129,11 +129,8 @@ class MonadInstance:
             raise UndecidableWithoutSolver(f"{self.id}: no T1 inverse solver")
         one = self.unit(UNIT, ())
         for u in self.enumerate_values(UNIT):
-            try:
-                if self.lax_c(t, u) == one:
-                    return u
-            except OutOfBound:
-                continue
+            if self.lax_c(t, u) == one:
+                return u
         return None
 
     def noninvertible_t1_candidate(self) -> Optional[TValue]:
@@ -250,9 +247,6 @@ class MeasureMonad(_MeasureBase):
 
     id = "M"
     has_zero = True
-
-    def noninvertible_t1_candidate(self) -> Optional[TValue]:
-        return self.zero(UNIT)
 
     def solver_classification(self, trials: int, rng: random.Random) -> "Classification":
         one, zero = self.unit(UNIT, ()), self.zero(UNIT)
@@ -379,7 +373,6 @@ class PowersetMonad(MonadInstance):
 
     id = "P"
     enumerable = True
-    allow_empty = True
     has_zero = True
 
     def validate(self, base: FinSet, payload):
@@ -387,7 +380,7 @@ class PowersetMonad(MonadInstance):
         for e in payload:
             if e not in base:
                 raise PayloadInvalid(f"{self.id}: {e!r} not in {base.name}")
-        if not payload and not self.allow_empty:
+        if not payload and not self.has_zero:
             raise PayloadInvalid(f"{self.id}: empty subset is not a valid value")
         return payload
 
@@ -407,32 +400,22 @@ class PowersetMonad(MonadInstance):
         return self.make(base, frozenset(a + b for a in t.payload for b in u.payload))
 
     def enumerate_values(self, base: FinSet) -> Iterator[TValue]:
-        for mask in range(2 ** len(base)):
+        for mask in range(0 if self.has_zero else 1, 2 ** len(base)):  # 0: the empty set
             subset = frozenset(
                 e for i, e in enumerate(base.elements) if mask >> i & 1
             )
-            try:
-                yield self.make(base, subset)
-            except PayloadInvalid:
-                continue
+            yield self.make(base, subset)
 
     def sample(self, base: FinSet, rng: random.Random) -> TValue:
         while True:
             subset = frozenset(e for e in base if rng.random() < 0.5)
-            try:
+            if subset or self.has_zero:
                 return self.make(base, subset)
-            except PayloadInvalid:
-                continue
 
     def zero(self, base: FinSet) -> TValue:
-        if not self.allow_empty:
-            raise PayloadInvalid(f"{self.id} has no zero element")
+        if not self.has_zero:
+            return super().zero(base)
         return self.make(base, frozenset())
-
-    def noninvertible_t1_candidate(self) -> Optional[TValue]:
-        if self.allow_empty:
-            return self.make(UNIT, frozenset())
-        return None
 
     def value_text(self, t: TValue) -> str:
         return f"{self.id}{{{', '.join(sorted(elem_to_str(e) for e in t.payload))}}}"
@@ -446,7 +429,6 @@ class PowersetMonad(MonadInstance):
 
 class NonemptyPowersetMonad(PowersetMonad):
     id = "P*"
-    allow_empty = False
     has_zero = False
 
 
@@ -511,8 +493,12 @@ class WriterMonad(MonadInstance):
 
 
 class FreeAbelianMonad(_TableMonad):
-    """Free abelian group: integer multisets, multiplicities capped at a
-    configured bound.  Payload: tuple of ints aligned with the base order."""
+    """Free abelian group: integer multisets.  Payload: tuple of ints aligned
+    with the base order.
+
+    The bound B caps the magnitude of a multiplicity only where values enter:
+    a decoded JSON value (`OutOfBound` above it), the enumerator (-B..B) and
+    the sampler (-1..1).  Arithmetic on values is exact and unbounded."""
 
     enumerable = True
     has_zero = True
@@ -529,10 +515,14 @@ class FreeAbelianMonad(_TableMonad):
         payload = tuple(int(v) for v in payload)
         if len(payload) != len(base):
             raise PayloadInvalid("F: table size does not match base")
-        for v in payload:
+        return payload
+
+    def value_from_json(self, base: FinSet, data) -> TValue:
+        t = super().value_from_json(base, data)
+        for v in t.payload:
             if abs(v) > self.bound:
                 raise OutOfBound(f"F: multiplicity {v} exceeds bound {self.bound}")
-        return payload
+        return t
 
     def enumerate_values(self, base: FinSet) -> Iterator[TValue]:
         rng_vals = range(-self.bound, self.bound + 1)
@@ -540,7 +530,6 @@ class FreeAbelianMonad(_TableMonad):
             yield self.make(base, combo)
 
     def sample(self, base: FinSet, rng: random.Random) -> TValue:
-        # Small multiplicities keep iterated extensions inside the bound.
         return self.make(base, tuple(rng.randint(-1, 1) for _ in base))
 
     def noninvertible_t1_candidate(self) -> Optional[TValue]:
@@ -579,12 +568,8 @@ def classify(inst: MonadInstance, trials: int = 200, seed: int = 42) -> Classifi
     if inst.enumerable:
         one = inst.unit(UNIT, ())
         carrier = list(inst.enumerate_values(UNIT))
-        candidates = []
         preferred = inst.noninvertible_t1_candidate()
-        if preferred is not None:
-            candidates.append(preferred)
-        candidates.extend(carrier)
-        for t in candidates:
+        for t in ([] if preferred is None else [preferred]) + carrier:
             if inst.t1_inverse(t) is None:
                 return Classification(
                     "not_weakly_affine",
@@ -617,17 +602,31 @@ def classification_of(inst: MonadInstance) -> Classification:
 # Law suite
 
 
-# The most kernels one law pool, or factor combinations one CI search, may take.
+# The most combinations one exhaustive enumeration may take.
 ENUMERATION_BUDGET = 20000
 
 
+def budgeted_product(pools, owner: str, what: str) -> Iterator[tuple]:
+    """itertools.product(*pools), refused with NotEnumerable before the first
+    combination when there are more than ENUMERATION_BUDGET of them.
+
+    Each pool is read at most ENUMERATION_BUDGET + 1 deep, so a pool too
+    large to list is refused without being listed."""
+    lists, combinations = [], 1
+    for pool in pools:
+        lists.append(list(itertools.islice(pool, ENUMERATION_BUDGET + 1)))
+        combinations *= len(lists[-1])
+        if combinations > ENUMERATION_BUDGET:
+            raise NotEnumerable(
+                f"{owner}: at least {combinations} {what}"
+                f" exceed the enumeration budget of {ENUMERATION_BUDGET}"
+            )
+    return itertools.product(*lists)
+
+
 def _all_kernels(inst, dom: FinSet, cod: FinSet):
-    values = list(inst.enumerate_values(cod))
-    if len(values) ** len(dom) > ENUMERATION_BUDGET:
-        raise NotEnumerable(
-            f"{inst.id}: {len(values)}^{len(dom)} kernels exceed the enumeration budget"
-        )
-    for combo in itertools.product(values, repeat=len(dom)):
+    pools = (inst.enumerate_values(cod) for _ in dom)
+    for combo in budgeted_product(pools, inst.id, f"kernels {dom.name} -> {cod.name}"):
         lookup = dict(zip(dom.elements, combo))
         yield lookup.__getitem__
 

@@ -11,6 +11,16 @@ against both projection equations.
 
 A randomized "pass" means "no counterexample found in N trials", never a
 proof.
+
+Over F the corners hold only values with multiplicities in -B..B, yet the
+verdict is the one over all of F: every mediator of an in-bound cone is in
+bound, or there are at least two in bound.  In assoc, t_x = u_x and
+t_z = v_z, and each coefficient of t_y is a coefficient of u or v divided by
+a non-zero coefficient of t_z or t_x, so its magnitude is at most B; when
+t_x and t_z are both 0, t_y is free and at least 2B + 1 >= 3 mediators are
+in bound.  In strong-affine and positivity, the TY part of a mediator has
+the coefficients of u.  Every exhaustive corner enumeration is refused up
+front over the enumeration budget.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from .monads import (
     SAMPLE_DEN_MAX,
     SAMPLE_NUM_MAX,
     TValue,
+    budgeted_product,
     classification_of,
 )
 from .report import CheckReport
@@ -86,13 +97,11 @@ class Square:
 
 
 def _enumerate_corner(inst, corner) -> Iterator[tuple]:
-    pools = []
-    for comp in corner:
-        if comp.kind == "set":
-            pools.append(list(comp.space.elements))
-        else:
-            pools.append(list(inst.enumerate_values(comp.space)))
-    return itertools.product(*pools)
+    pools = (
+        comp.space.elements if comp.kind == "set" else inst.enumerate_values(comp.space)
+        for comp in corner
+    )
+    return budgeted_product(pools, inst.id, "elements of a square corner")
 
 
 ZERO_PROB = 0.1  # chance that a sampled apex takes the zero value, when there is one

@@ -186,6 +186,13 @@ def test_check_ci_entry_with_trailing_newline_exits_2(tmp_path, capsys, entry):
     assert "not a rational literal" in capsys.readouterr().err
 
 
+def test_check_ci_non_ascii_digit_in_partition_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "f.json")
+    dump_json(KERNEL_CI, path)
+    assert main(["check", "ci", "--kernel", path, "--partition", "X|\u00b2"]) == 2
+    assert "unknown factor" in capsys.readouterr().err
+
+
 def test_check_ci_missing_file_exits_2(tmp_path):
     assert main(["check", "ci", "--kernel", str(tmp_path / "no.json"), "--partition", "X|Y"]) == 2
 
@@ -236,3 +243,97 @@ def test_reports_are_byte_identical(capsys):
     _, first = run(capsys, *argv)
     _, second = run(capsys, *argv)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# F above bound 1: the bound applies to input, enumeration and sampling only.
+
+
+@pytest.mark.parametrize("bound", ["2", "3"])
+def test_theorem_on_f_is_decided_above_bound_1(capsys, bound):
+    code, doc = run_json(capsys, "check", "theorem", "--monad", "F", "--bound", bound)
+    assert code == 0
+    assert doc["checks"][0]["note"] == "t1_group=False; effect_groups=False; assoc_pullback=False"
+
+
+@pytest.mark.parametrize("sizes", ["1,1,1", "2,2,2"])
+def test_assoc_on_f_bound_2_has_a_cone_without_mediator(capsys, sizes):
+    code, doc = run_json(
+        capsys, "check", "pullback", "--square", "assoc", "--monad", "F", "--bound", "2",
+        "--sizes", sizes,
+    )
+    assert code == 1
+    assert doc["checks"][0]["witness"]["mediators"] == 0
+
+
+@pytest.mark.parametrize("bound", ["1", "2"])
+def test_positivity_on_f_fails(capsys, bound):
+    code, doc = run_json(
+        capsys, "check", "pullback", "--square", "positivity", "--monad", "F", "--bound", bound,
+        "--sizes", "2,2",
+    )
+    assert code == 1
+    assert doc["checks"][0]["witness"]["mediators"] == 0
+
+
+@pytest.mark.parametrize("bound", ["1", "16"])
+def test_strong_affine_on_f_does_not_commute(capsys, bound):
+    code, doc = run_json(
+        capsys, "check", "pullback", "--square", "strong-affine", "--monad", "F",
+        "--bound", bound, "--sizes", "2,2",
+    )
+    assert code == 1
+    assert doc["checks"][0]["note"] == "square does not commute; pullback not evaluated"
+
+
+@pytest.mark.parametrize("bound,sizes", [("1", "1,2"), ("2", "1"), ("3", "1")])
+def test_laws_on_f_pass(capsys, bound, sizes):
+    code, doc = run_json(capsys, "check", "laws", "--monad", "F", "--bound", bound, "--sizes", sizes)
+    assert code == 0
+    assert doc["checks"][0]["passed"]
+
+
+# One refusal per caller of the enumeration budget, in a subprocess so that
+# an enumeration that is not refused fails on the timeout instead of hanging.
+F_KERNEL = os.path.join(os.path.dirname(__file__), "golden", "kernels", "F.json")
+OVER_BUDGET = [
+    (("check", "laws", "--monad", "F", "--sizes", "2"), "kernels S2 -> S2"),
+    (("check", "theorem", "--monad", "F", "--sizes", "3,3,3"), "kernels X3 -> I"),
+    (("check", "pullback", "--square", "assoc", "--monad", "F", "--sizes", "2,2,2"),
+     "elements of a square corner"),
+    (("check", "pullback", "--square", "assoc", "--monad", "F", "--sizes", "2,2,2",
+      "--mode", "random"), "elements of a square corner"),
+    (("check", "ci", "--kernel", F_KERNEL, "--partition", "X|Y", "--method", "exhaustive"),
+     "factor combinations per column"),
+]
+
+
+@pytest.mark.parametrize("argv,what", OVER_BUDGET)
+def test_over_budget_enumeration_is_refused_up_front(argv, what):
+    src = os.path.dirname(os.path.dirname(gsmon.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gsmon.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert f"{what} exceed the enumeration budget of 20000" in proc.stderr
+
+
+# Options that no handler of the subcommand reads are not accepted.
+UNREAD_OPTIONS = (
+    [(("classify",), opt) for opt in ("--mode", "--sizes")]
+    + [(cmd, opt) for cmd in (("check", "ci", "--kernel", "k", "--partition", "X"),
+                              ("check", "local-independence", "--kernel", "k"))
+       for opt in ("--mode", "--trials", "--sizes")]
+    + [(cmd, opt) for cmd in (("check", "prop21"), ("report",))
+       for opt in ("--mode", "--trials", "--sizes", "--bound")]
+)
+
+
+@pytest.mark.parametrize("argv,option", UNREAD_OPTIONS)
+def test_unread_option_is_a_usage_error(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, option, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err

@@ -10,7 +10,9 @@ from gsmon.monads import (
     ALL_MONAD_IDS,
     FreeAbelianMonad,
     WriterMonad,
+    ENUMERATION_BUDGET,
     _all_kernels,
+    budgeted_product,
     check_monad_laws,
     classify,
     get_instance,
@@ -150,7 +152,20 @@ def test_payload_validation():
     with pytest.raises(PayloadInvalid):
         get_instance("P*").make(X, frozenset())
     with pytest.raises(OutOfBound):
-        get_instance("F").make(X, (17, 0))
+        get_instance("F").value_from_json(X, {"entries": {"x0": 17}})
+
+
+def test_free_abelian_bound_applies_only_where_values_enter():
+    f = get_instance("F", bound=2)
+    assert f.value_from_json(X, {"entries": {"x0": -2}}).payload == (-2, 0)
+    with pytest.raises(OutOfBound):
+        f.value_from_json(X, {"entries": {"x1": -3}})
+    # Inside the program arithmetic is exact: products leave the bound.
+    t = f.make(X, (2, -2))
+    assert f.lax_c(t, t).payload == (4, -4, -4, 4)
+    assert f.make(X, (17, 0)).payload == (17, 0)
+    rng = random.Random(5)
+    assert all(abs(v) <= 1 for _ in range(20) for v in f.sample(X, rng).payload)
 
 
 def test_free_abelian_enumeration_respects_bound():
@@ -158,6 +173,28 @@ def test_free_abelian_enumeration_respects_bound():
     values = list(f.enumerate_values(UNIT))
     assert len(values) == 5  # multiplicities -2..2
     assert f.id == "F(B=2)"
+
+
+def test_budgeted_product_is_the_product_within_the_budget():
+    pools = [iter("ab"), ["x"], range(3)]
+    assert list(budgeted_product(pools, "t", "things")) == list(
+        itertools.product("ab", ["x"], range(3))
+    )
+    assert list(budgeted_product([], "t", "things")) == [()]
+
+
+def test_budgeted_product_refuses_before_reading_a_pool_past_the_budget():
+    # An endless pool is read ENUMERATION_BUDGET + 1 deep, then refused.
+    endless = itertools.count()
+    with pytest.raises(NotEnumerable, match=f"t: at least {ENUMERATION_BUDGET + 1} things"):
+        budgeted_product([endless], "t", "things")
+    assert next(endless) == ENUMERATION_BUDGET + 1
+    # The refusal comes as soon as the running product passes the budget,
+    # before a later pool is touched.
+    later = itertools.count()
+    with pytest.raises(NotEnumerable, match="at least 20100 things"):
+        budgeted_product([range(201), range(100), later], "t", "things")
+    assert next(later) == 0
 
 
 def test_enumeration_counts():
@@ -192,6 +229,8 @@ def test_classification_witnesses():
     assert m_cls.witness.payload == (Fraction(0),)  # the scalar 0
     f_cls = classify(get_instance("F"))
     assert f_cls.witness.payload == (2,)  # 2 has no inverse within the bound
+    assert classify(get_instance("F", bound=1)).witness.payload == (0,)
+    assert classify(get_instance("P")).witness.payload == frozenset()  # enumerated first
     and_cls = classify(get_instance("writer:AND"))
     assert and_cls.witness.payload[0] == "0"
 

@@ -4,7 +4,7 @@ import pytest
 
 from gsmon.errors import InvariantViolation, NoSolverForRandomized
 from gsmon.finset import FinSet
-from gsmon.monads import get_instance
+from gsmon.monads import FreeAbelianMonad, get_instance
 from gsmon.monoid import MONOID_LIBRARY, is_group
 from gsmon.report import CheckReport
 from gsmon.squares import (
@@ -323,3 +323,50 @@ def test_search_solver_indexes_the_apexes_on_its_first_call():
     assert len(calls) == apexes
     assert square.mediator(u, v) is not None
     assert len(calls) == apexes
+
+
+# ---------------------------------------------------------------------------
+# F's bound: an exhaustive F square enumerates only in-bound corners, so its
+# verdict is the one over all of F only if no in-bound cone gains or loses
+# mediators when the bound grows.
+
+BOUNDED_SQUARES = [("assoc", s) for s in [(1, 1, 1), (2, 1, 1), (1, 2, 1)]] + [
+    ("strong-affine", (2, 2)),
+    ("positivity", (2, 2)),
+]
+
+
+def by_payload(corner_value) -> tuple:
+    """A corner value with each T component replaced by its payload, so that
+    values of F(B=n) and F(B=n+1) compare."""
+    return tuple(getattr(c, "payload", c) for c in corner_value)
+
+
+def mediator_counts(square) -> dict:
+    return {
+        (by_payload(u), by_payload(v)): len(apexes)
+        for (u, v), apexes in square.apex_index().items()
+    }
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+@pytest.mark.parametrize("kind,sizes", BOUNDED_SQUARES)
+def test_bounded_f_mediator_counts_agree_one_bound_up(kind, sizes, bound):
+    small = build_square(kind, FreeAbelianMonad(bound), sizes)
+    large = build_square(kind, FreeAbelianMonad(bound + 1), sizes)
+    small_counts, large_counts = mediator_counts(small), mediator_counts(large)
+    classes, zero_cones = set(), 0
+    for u, v in compatible_cones(small):
+        key = by_payload(u), by_payload(v)
+        n, m = small_counts.get(key, 0), large_counts.get(key, 0)
+        assert min(n, 2) == min(m, 2), key
+        classes.add(min(n, 2))
+        if kind == "assoc" and not any(any(t.payload) for t in u + v):
+            # The all-zero cone: the middle factor is free.
+            zero_cones += 1
+            y = sizes[1]
+            assert (n, m) == ((2 * bound + 1) ** y, (2 * bound + 3) ** y)
+        else:
+            assert n == m, key
+    assert zero_cones == (kind == "assoc")
+    assert {0, 1} <= classes, classes
