@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .errors import GsmonError, InvariantViolation
@@ -24,23 +25,37 @@ from .squares import build_square, check_pullback, theorem_harness
 VERSION = "0.1.0"
 
 
+def positive_int(text: str) -> int:
+    """argparse type: ASCII digits only, with a value of at least 1."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def seed_int(text: str) -> int:
+    """argparse type: ASCII digits with an optional leading '-'."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def default_seed() -> int:
     raw = os.environ.get("GSMON_SEED")
     if raw is None:
         return 42
     try:
-        return int(raw)
-    except ValueError:
+        return seed_int(raw)
+    except argparse.ArgumentTypeError:
         raise GsmonError(f"GSMON_SEED must be an integer, got {raw!r}")
 
 
 def _parse_sizes(text: str) -> list:
     try:
-        sizes = [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise GsmonError(f"bad --sizes value {text!r}")
-    if not sizes or any(n < 1 for n in sizes):
-        raise GsmonError("--sizes entries must be >= 1")
+        sizes = [positive_int(v.strip()) for v in text.split(",") if v.strip()]
+    except argparse.ArgumentTypeError as exc:
+        raise GsmonError(f"bad --sizes value {text!r}: {exc}")
+    if not sizes:
+        raise GsmonError(f"bad --sizes value {text!r}: no entries")
     return sizes
 
 
@@ -294,16 +309,16 @@ def cmd_report(args) -> int:
 
 OPTIONS = {
     "mode": dict(default="exhaustive", help="exhaustive or random"),
-    "trials": dict(type=int, default=500),
+    "trials": dict(type=positive_int, default=500),
     "sizes": dict(default="2,2,2"),
-    "bound": dict(type=int, default=16, help="multiplicity bound for F"),
+    "bound": dict(type=positive_int, default=16, help="multiplicity bound for F"),
 }
 CHECK_OPTIONS = ("mode", "trials", "sizes", "bound")
 
 
 def _add_common(p, seed, *options):
     """--seed, --format and --out, then the named entries of OPTIONS."""
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=seed_int, default=seed)
     p.add_argument("--format", choices=["json", "markdown"], default="json")
     p.add_argument("--out", default=None)
     for name in options:

@@ -30,7 +30,11 @@ from .report import CheckReport
 
 
 class Kernel:
-    """A Kleisli morphism dom -> cod for a fixed monad instance."""
+    """A Kleisli morphism dom -> cod for a fixed monad instance.
+
+    Each column is a TValue that was validated where it was built (`make`)
+    or is the result of a closed monad operation, so only its monad and its
+    base are checked here."""
 
     __slots__ = ("inst", "dom", "cod", "columns")
 
@@ -43,7 +47,6 @@ class Kernel:
                 raise TypeMismatch(f"column belongs to {col.monad}, kernel to {inst.id}")
             if col.base != cod:
                 raise TypeMismatch("column base does not match codomain")
-            inst.validate(cod, col.payload)
         self.inst = inst
         self.dom = dom
         self.cod = cod

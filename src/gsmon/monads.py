@@ -43,6 +43,8 @@ from .monoid import FiniteMonoid
 from .rational import ONE, ZERO, format_rat, parse_rat
 from .report import CheckReport
 
+_INT_RE = re.compile(r"-?[0-9]+")
+
 # Sampler caps: small exact values keep witnesses readable.
 SAMPLE_NUM_MAX = 9
 SAMPLE_DEN_MAX = 4
@@ -74,7 +76,18 @@ class MonadInstance:
     # -- construction ------------------------------------------------------
 
     def make(self, base: FinSet, payload) -> TValue:
+        """The value of `payload` over `base`, checked and put in canonical form
+        by `validate` (PayloadInvalid otherwise).  Every value that enters from
+        outside the monad's own operations -- JSON, the enumerators, the
+        samplers, solvers -- is built here."""
         return TValue(self.id, base, self.validate(base, payload))
+
+    def _value(self, base: FinSet, payload) -> TValue:
+        """The value of an already canonical, valid `payload`, unchecked.
+
+        Only the closed operations (`unit`, `map`, `extend`, `lax_c`, `zero`)
+        use it: each maps valid values to a valid value."""
+        return TValue(self.id, base, payload)
 
     def validate(self, base: FinSet, payload):
         raise NotImplementedError
@@ -152,6 +165,12 @@ class _TableMonad(MonadInstance):
     Payload: a tuple of scalars aligned with the base order.  Subclasses
     give the scalar zero and one, the scalar's text and JSON forms, and
     their own validation and sampling.
+
+    The closed operations build their results unchecked (`_value`), starting
+    every sum from `zero_scalar` so that each entry keeps the scalar type:
+    products and sums of non-negative tables stay non-negative; a non-zero
+    table times a non-zero table is non-zero; pushforward and `lax_c`
+    preserve total mass, so D stays normalised.
     """
 
     zero_scalar: object = ZERO
@@ -164,13 +183,13 @@ class _TableMonad(MonadInstance):
         self._check_x(base, x)
         out = [self.zero_scalar] * len(base)
         out[base.index(x)] = self.one_scalar
-        return self.make(base, tuple(out))
+        return self._value(base, tuple(out))
 
     def map(self, f: FinFun, t: TValue) -> TValue:
         out = [self.zero_scalar] * len(f.cod)
         for e, v in zip(t.base.elements, t.payload):
             out[f.cod.index(f(e))] += v
-        return self.make(f.cod, tuple(out))
+        return self._value(f.cod, tuple(out))
 
     def extend(self, col, cod: FinSet, t: TValue) -> TValue:
         out = [self.zero_scalar] * len(cod)
@@ -179,16 +198,16 @@ class _TableMonad(MonadInstance):
                 continue
             for j, w in enumerate(col(e).payload):
                 out[j] += v * w
-        return self.make(cod, tuple(out))
+        return self._value(cod, tuple(out))
 
     def lax_c(self, t: TValue, u: TValue) -> TValue:
         base = product([t.base, u.base])
-        return self.make(base, tuple(v * w for v in t.payload for w in u.payload))
+        return self._value(base, tuple(v * w for v in t.payload for w in u.payload))
 
     def zero(self, base: FinSet) -> TValue:
         if not self.has_zero:
             return super().zero(base)
-        return self.make(base, (self.zero_scalar,) * len(base))
+        return self._value(base, (self.zero_scalar,) * len(base))
 
     def value_text(self, t: TValue) -> str:
         entries = [
@@ -329,6 +348,10 @@ class DistributionMonad(_MeasureBase):
 
 
 class IdentityMonad(MonadInstance):
+    """Payload: an element of the base.  The closed operations build their
+    results unchecked: an image under f : X -> Y is in Y, and a pair of
+    elements is an element of the product."""
+
     id = "Id"
     enumerable = True
 
@@ -340,16 +363,16 @@ class IdentityMonad(MonadInstance):
 
     def unit(self, base: FinSet, x: Elem) -> TValue:
         self._check_x(base, x)
-        return self.make(base, x)
+        return self._value(base, x)
 
     def map(self, f: FinFun, t: TValue) -> TValue:
-        return self.make(f.cod, f(t.payload))
+        return self._value(f.cod, f(t.payload))
 
     def extend(self, col, cod: FinSet, t: TValue) -> TValue:
         return col(t.payload)
 
     def lax_c(self, t: TValue, u: TValue) -> TValue:
-        return self.make(product([t.base, u.base]), t.payload + u.payload)
+        return self._value(product([t.base, u.base]), t.payload + u.payload)
 
     def enumerate_values(self, base: FinSet) -> Iterator[TValue]:
         for e in base:
@@ -369,7 +392,10 @@ class IdentityMonad(MonadInstance):
 
 
 class PowersetMonad(MonadInstance):
-    """Subsets; the Kleisli category is Rel.  Payload: frozenset of elements."""
+    """Subsets; the Kleisli category is Rel.  Payload: frozenset of elements.
+
+    The closed operations build their results unchecked: images, unions and
+    products of subsets are subsets, and of non-empty ones non-empty (P*)."""
 
     id = "P"
     enumerable = True
@@ -386,18 +412,18 @@ class PowersetMonad(MonadInstance):
 
     def unit(self, base: FinSet, x: Elem) -> TValue:
         self._check_x(base, x)
-        return self.make(base, frozenset([x]))
+        return self._value(base, frozenset([x]))
 
     def map(self, f: FinFun, t: TValue) -> TValue:
-        return self.make(f.cod, frozenset(f(e) for e in t.payload))
+        return self._value(f.cod, frozenset(f(e) for e in t.payload))
 
     def extend(self, col, cod: FinSet, t: TValue) -> TValue:
         out = frozenset().union(*(col(e).payload for e in t.payload)) if t.payload else frozenset()
-        return self.make(cod, out)
+        return self._value(cod, out)
 
     def lax_c(self, t: TValue, u: TValue) -> TValue:
         base = product([t.base, u.base])
-        return self.make(base, frozenset(a + b for a in t.payload for b in u.payload))
+        return self._value(base, frozenset(a + b for a in t.payload for b in u.payload))
 
     def enumerate_values(self, base: FinSet) -> Iterator[TValue]:
         for mask in range(0 if self.has_zero else 1, 2 ** len(base)):  # 0: the empty set
@@ -415,7 +441,7 @@ class PowersetMonad(MonadInstance):
     def zero(self, base: FinSet) -> TValue:
         if not self.has_zero:
             return super().zero(base)
-        return self.make(base, frozenset())
+        return self._value(base, frozenset())
 
     def value_text(self, t: TValue) -> str:
         return f"{self.id}{{{', '.join(sorted(elem_to_str(e) for e in t.payload))}}}"
@@ -433,13 +459,23 @@ class NonemptyPowersetMonad(PowersetMonad):
 
 
 class WriterMonad(MonadInstance):
-    """A x - for a finite commutative monoid A.  Payload: (a_label, element)."""
+    """A x - for a finite commutative monoid A.  Payload: (a_label, element).
+
+    The closed operations build their results unchecked: a writer label times
+    a writer label is a label of the monoid, read from `_times`."""
 
     enumerable = True
 
     def __init__(self, monoid: FiniteMonoid):
         self.monoid = monoid
         self.id = f"writer:{monoid.name}"
+        labels = monoid.elements
+        # (a, b) -> the label of a * b, for every pair of monoid elements.
+        self._times = {
+            (a, b): monoid.label(monoid.mul(i, j))
+            for i, a in enumerate(labels)
+            for j, b in enumerate(labels)
+        }
 
     def validate(self, base: FinSet, payload):
         a, x = payload
@@ -452,25 +488,24 @@ class WriterMonad(MonadInstance):
 
     def unit(self, base: FinSet, x: Elem) -> TValue:
         self._check_x(base, x)
-        return self.make(base, (self.monoid.label(self.monoid.unit), x))
+        return self._value(base, (self.monoid.label(self.monoid.unit), x))
 
     def map(self, f: FinFun, t: TValue) -> TValue:
         a, x = t.payload
-        return self.make(f.cod, (a, f(x)))
+        return self._value(f.cod, (a, f(x)))
 
     def extend(self, col, cod: FinSet, t: TValue) -> TValue:
         a, x = t.payload
         b, y = col(x).payload
-        return self.make(cod, (self._mul(a, b), y))
+        return self._value(cod, (self._mul(a, b), y))
 
     def lax_c(self, t: TValue, u: TValue) -> TValue:
         a, x = t.payload
         b, y = u.payload
-        return self.make(product([t.base, u.base]), (self._mul(a, b), x + y))
+        return self._value(product([t.base, u.base]), (self._mul(a, b), x + y))
 
     def _mul(self, a: str, b: str) -> str:
-        m = self.monoid
-        return m.label(m.mul(m.index(a), m.index(b)))
+        return self._times[a, b]
 
     def enumerate_values(self, base: FinSet) -> Iterator[TValue]:
         for a in self.monoid.elements:
@@ -505,9 +540,20 @@ class FreeAbelianMonad(_TableMonad):
     zero_scalar = 0
     one_scalar = 1
     scalar_text = staticmethod(str)
-    scalar_to_json = scalar_from_json = staticmethod(int)
+    scalar_to_json = staticmethod(int)
+
+    @staticmethod
+    def scalar_from_json(v) -> int:
+        """A JSON integer (not a bool), or an ASCII decimal string."""
+        if isinstance(v, int) and not isinstance(v, bool):
+            return v
+        if isinstance(v, str) and _INT_RE.fullmatch(v):
+            return int(v)
+        raise MalformedInput(f"F: not an integer literal: {v!r}")
 
     def __init__(self, bound: int = 16):
+        if bound < 1:
+            raise UnknownMonad(f"F: bound {bound} is below 1")
         self.bound = bound
         self.id = f"F(B={bound})" if bound != 16 else "F"
 

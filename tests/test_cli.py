@@ -7,7 +7,7 @@ import pytest
 
 import gsmon
 from gsmon.cli import main
-from gsmon.jsonio import dump_json
+from gsmon.jsonio import dump_json, kernel_from_json
 
 
 KERNEL_CI = {
@@ -337,3 +337,79 @@ def test_unread_option_is_a_usage_error(capsys, argv, option):
         main([*argv, option, "1"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
+
+# Values are validated where they enter: a bad kernel column is refused on
+# decoding, before any kernel is built from it.
+def _with_a0_entries(doc, entries):
+    doc = json.loads(json.dumps(doc))
+    doc["columns"]["a0"]["entries"].update(entries)
+    return doc
+
+
+with open(F_KERNEL, encoding="utf-8") as _fh:
+    F_DOC = json.load(_fh)
+
+BAD_COLUMNS = {
+    "M*-negative": (KERNEL_CI, {"x0,y0": "-1"}, "negative entry"),
+    "M*-zero": (KERNEL_CI, dict.fromkeys(["x0,y0", "x0,y1", "x1,y0", "x1,y1"], "0"),
+                "zero table"),
+    "D-unnormalised": (dict(KERNEL_CI, monad="D"), {}, "does not sum to 1"),
+    "F-over-bound": (F_DOC, {"x0,y0": 17}, "exceeds bound 16"),
+    "F-1.5": (F_DOC, {"x0,y0": 1.5}, "not an integer literal"),
+    "F-true": (F_DOC, {"x0,y0": True}, "not an integer literal"),
+    "F-1/2": (F_DOC, {"x0,y0": "1/2"}, "not an integer literal"),
+}
+
+
+@pytest.mark.parametrize("doc,entries,message", BAD_COLUMNS.values(), ids=BAD_COLUMNS)
+def test_kernel_with_a_bad_column_exits_2(tmp_path, capsys, doc, entries, message):
+    path = str(tmp_path / "k.json")
+    dump_json(_with_a0_entries(doc, entries), path)
+    assert main(["check", "ci", "--kernel", path, "--partition", "X|Y"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_f_kernel_accepts_integer_and_decimal_string_entries():
+    as_text = _with_a0_entries(F_DOC, {"x0,y0": "1", "x1,y0": "-1"})
+    assert kernel_from_json(as_text) == kernel_from_json(F_DOC)
+
+
+# Integer options take ASCII digits only, and counts and bounds are >= 1.
+BAD_INTEGERS = [
+    ("classify", "--monad", "F", "--bound", "0"),
+    ("classify", "--monad", "F", "--bound", "-1"),
+    ("check", "theorem", "--monad", "F", "--bound", "0", "--sizes", "1,1,1"),
+    ("check", "laws", "--monad", "M*", "--mode", "random", "--trials", "0"),
+    ("check", "laws", "--monad", "M*", "--mode", "random", "--trials", "-5"),
+    ("check", "laws", "--monad", "M*", "--mode", "random", "--trials", "١٠"),
+    ("classify", "--monad", "Id", "--seed", "١"),
+    ("classify", "--monad", "Id", "--seed", "+1"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INTEGERS, ids=" ".join)
+def test_bad_integer_option_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "expected an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes", ["١,1,1", "1_0,1,1", "0,1,1", "-1", ","])
+def test_bad_sizes_exit_2(capsys, sizes):
+    argv = ["check", "laws", "--monad", "M*", "--mode", "random", "--sizes", sizes]
+    assert main(argv) == 2
+    assert "bad --sizes value" in capsys.readouterr().err
+
+
+def test_negative_seed_is_accepted(capsys):
+    code, doc = run_json(capsys, "classify", "--monad", "Id", "--seed", "-3")
+    assert code == 0
+    assert doc["config"]["seed"] == -3
+
+
+@pytest.mark.parametrize("raw", ["١", " 7", "1_0"])
+def test_seed_env_non_ascii_or_padded_exits_2(monkeypatch, raw):
+    monkeypatch.setenv("GSMON_SEED", raw)
+    assert main(["classify", "--monad", "Id"]) == 2

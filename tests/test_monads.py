@@ -255,3 +255,11 @@ def test_value_of_an_unregistered_instance_still_describes():
     custom = FiniteMonoid.from_json(get_monoid("Z2").to_json(), name="custom")
     t = WriterMonad(custom).unit(X, ("x1",))
     assert t.describe().startswith("writer:custom(")
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_free_abelian_bound_below_1_is_refused(bound):
+    with pytest.raises(UnknownMonad):
+        FreeAbelianMonad(bound)
+    with pytest.raises(UnknownMonad):
+        get_instance("F", bound=bound)
