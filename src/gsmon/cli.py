@@ -20,6 +20,7 @@ from .independence import check_ci, check_local_independence
 from .jsonio import dump_json, kernel_from_json, load_json
 from .monads import ALL_MONAD_IDS, check_monad_laws, classify, get_instance
 from .monoid import MONOID_LIBRARY, get_monoid, group_pullback_agreement
+from .report import require_mode
 from .squares import build_square, check_pullback, theorem_harness
 
 VERSION = "0.1.0"
@@ -64,11 +65,9 @@ def _parse_triples(text: str) -> list:
 
 
 def _normalize_mode(mode: str) -> str:
-    if mode in ("random", "randomized"):
-        return "randomized"
-    if mode == "exhaustive":
-        return "exhaustive"
-    raise GsmonError(f"unknown mode {mode!r}")
+    mode = "randomized" if mode == "random" else mode
+    require_mode(mode)
+    return mode
 
 
 def _parse_partition(expr: str, factors) -> list:
@@ -146,9 +145,10 @@ def _markdown(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _with_reference(report_json: dict, reference: str) -> dict:
-    report_json["reference"] = reference
-    return report_json
+def _emit_check(args, config: dict, entry: dict, reference: str) -> int:
+    """Write the document of one check whose JSON is `entry`."""
+    entry["reference"] = reference
+    return _emit(_document(config, [entry]), args.format, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +167,8 @@ def cmd_classify(args) -> int:
         entry["mode"] = "direct"
         entry["trials"] = args.trials if cls.evidence == "solver-asserted" else 0
         entry["note"] = f"{cls.kind}; {entry.get('note') or cls.note}"
-        checks.append(_with_reference(entry, "internal monoid of T over the unit"))
+        entry["reference"] = "internal monoid of T over the unit"
+        checks.append(entry)
     config = {
         "command": "classify",
         "monads": ids,
@@ -191,8 +192,7 @@ def cmd_check_laws(args) -> int:
         "trials": args.trials,
         "seed": args.seed,
     }
-    checks = [_with_reference(report.to_json(), "monad, functor and commutativity laws")]
-    return _emit(_document(config, checks), args.format, args.out)
+    return _emit_check(args, config, report.to_json(), "monad, functor and commutativity laws")
 
 
 def cmd_check_theorem(args) -> int:
@@ -208,12 +208,9 @@ def cmd_check_theorem(args) -> int:
         "trials": args.trials,
         "seed": args.seed,
     }
-    checks = [
-        _with_reference(
-            report.to_json(), "weak affinity / effect groups / associativity pullback"
-        )
-    ]
-    return _emit(_document(config, checks), args.format, args.out)
+    return _emit_check(
+        args, config, report.to_json(), "weak affinity / effect groups / associativity pullback"
+    )
 
 
 def cmd_check_pullback(args) -> int:
@@ -231,8 +228,7 @@ def cmd_check_pullback(args) -> int:
         "trials": args.trials,
         "seed": args.seed,
     }
-    checks = [_with_reference(report.to_json(), f"{args.square} square universal property")]
-    return _emit(_document(config, checks), args.format, args.out)
+    return _emit_check(args, config, report.to_json(), f"{args.square} square universal property")
 
 
 def cmd_check_ci(args) -> int:
@@ -253,8 +249,7 @@ def cmd_check_ci(args) -> int:
         "partition": args.partition,
         "method": args.method,
     }
-    checks = [_with_reference(entry, "conditional independence factorization")]
-    _emit(_document(config, checks), args.format, args.out)
+    _emit_check(args, config, entry, "conditional independence factorization")
     return 0 if result.holds else 1
 
 
@@ -268,8 +263,7 @@ def cmd_check_local_independence(args) -> int:
         "kernel": args.kernel,
         "method": args.method,
     }
-    checks = [_with_reference(report.to_json(), "localised independence property")]
-    return _emit(_document(config, checks), args.format, args.out)
+    return _emit_check(args, config, report.to_json(), "localised independence property")
 
 
 def cmd_check_prop21(args) -> int:
@@ -279,12 +273,9 @@ def cmd_check_prop21(args) -> int:
         suite = list(MONOID_LIBRARY.values())
     report = group_pullback_agreement(suite)
     config = {"command": "check prop21", "monoids": [m.name for m in suite]}
-    checks = [
-        _with_reference(
-            report.to_json(), "group law vs. associativity-square pullback"
-        )
-    ]
-    return _emit(_document(config, checks), args.format, args.out)
+    return _emit_check(
+        args, config, report.to_json(), "group law vs. associativity-square pullback"
+    )
 
 
 def cmd_report(args) -> int:

@@ -105,14 +105,6 @@ def swap_k(inst: MonadInstance, x: FinSet, y: FinSet) -> Kernel:
     return lift(inst, swap_fun(x, y))
 
 
-def structural(inst: MonadInstance, kind: str, *objects: FinSet) -> Kernel:
-    builders = {"copy": copy_k, "discard": discard_k, "swap": swap_k, "id": identity}
-    try:
-        return builders[kind](inst, *objects)
-    except KeyError:
-        raise TypeMismatch(f"unknown structural kind {kind!r}") from None
-
-
 def compose(g: Kernel, f: Kernel) -> Kernel:
     """g after f; for measure monads this is matrix composition."""
     if f.inst.id != g.inst.id:

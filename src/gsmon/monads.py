@@ -41,7 +41,7 @@ from .finset import (
 )
 from .monoid import FiniteMonoid
 from .rational import ONE, ZERO, format_rat, parse_rat
-from .report import CheckReport
+from .report import CheckReport, require_mode
 
 _INT_RE = re.compile(r"-?[0-9]+")
 
@@ -558,7 +558,9 @@ class FreeAbelianMonad(_TableMonad):
         self.id = f"F(B={bound})" if bound != 16 else "F"
 
     def validate(self, base: FinSet, payload):
-        payload = tuple(int(v) for v in payload)
+        payload = tuple(payload)
+        if any(type(v) is not int for v in payload):  # no bool, float or Fraction
+            raise PayloadInvalid(f"F: entries must be integers, got {payload!r}")
         if len(payload) != len(base):
             raise PayloadInvalid("F: table size does not match base")
         return payload
@@ -670,18 +672,6 @@ def budgeted_product(pools, owner: str, what: str) -> Iterator[tuple]:
     return itertools.product(*lists)
 
 
-def _all_kernels(inst, dom: FinSet, cod: FinSet):
-    pools = (inst.enumerate_values(cod) for _ in dom)
-    for combo in budgeted_product(pools, inst.id, f"kernels {dom.name} -> {cod.name}"):
-        lookup = dict(zip(dom.elements, combo))
-        yield lookup.__getitem__
-
-
-def _sample_kernel(inst, dom: FinSet, cod: FinSet, rng):
-    lookup = {e: inst.sample(cod, rng) for e in dom}
-    return lookup.__getitem__
-
-
 def _sample_fun(dom: FinSet, cod: FinSet, rng) -> FinFun:
     return FinFun(dom, cod, tuple(rng.randrange(len(cod)) for _ in dom))
 
@@ -702,8 +692,9 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
 
     def ext(kern, cod, t):
         """inst.extend(kern, cod, t), once per kernel and payload in this table:
-        k only ever receives values over X, and h values over Y."""
-        key = kern, t.payload
+        k only ever receives values over X, and h values over Y.  A kernel is
+        keyed by its id, which its pool keeps alive for the table's life."""
+        key = id(kern), t.payload
         try:
             return memo[key]
         except KeyError:
@@ -757,21 +748,14 @@ def check_monad_laws(
     of the given sizes (requires an enumerator); randomized mode runs seeded
     trials with freshly sampled ingredients, still compared exactly.
     """
+    from .kernels import enumerate_kernels, sample_kernel
+
+    require_mode(mode)
     sets = [
         FinSet.of(f"S{n}", [f"s{n}_{i}" for i in range(1, n + 1)]) for n in sorted(set(sizes))
     ]
     name = f"monad_laws[{inst.id}]"
-
-    def fail(witness):
-        return CheckReport(
-            name=name,
-            passed=False,
-            mode=mode,
-            trials=trials if mode == "randomized" else 0,
-            seed=seed if mode == "randomized" else None,
-            witness=witness,
-        )
-
+    witness = None
     if mode == "exhaustive":
         if not inst.enumerable:
             raise NotEnumerable(f"{inst.id}: exhaustive law check needs an enumerator")
@@ -784,33 +768,32 @@ def check_monad_laws(
                 "v": list(inst.enumerate_values(Z)),
                 "f": list(enumerate_functions(X, Y)),
                 "g": list(enumerate_functions(Y, Z)),
-                "k": list(_all_kernels(inst, X, Y)),
-                "h": list(_all_kernels(inst, Y, Z)),
+                "k": list(enumerate_kernels(inst, X, Y)),
+                "h": list(enumerate_kernels(inst, Y, Z)),
                 "x": X.elements,
             }
             witness = _first_failure(_law_table(inst, X, Y, Z), pools)
             if witness is not None:
-                return fail(witness)
-        return CheckReport(name=name, passed=True, mode="exhaustive")
-
-    rng = random.Random(seed)
-    for _ in range(trials):
-        X, Y, Z = (rng.choice(sets) for _ in range(3))
-        # One-element pools, drawn in a fixed order so that a seed replays.
-        pools = {
-            "t": [inst.sample(X, rng)],
-            "u": [inst.sample(Y, rng)],
-            "v": [inst.sample(Z, rng)],
-            "x": [rng.choice(X.elements)],
-            "f": [_sample_fun(X, Y, rng)],
-            "g": [_sample_fun(Y, Z, rng)],
-            "k": [_sample_kernel(inst, X, Y, rng)],
-            "h": [_sample_kernel(inst, Y, Z, rng)],
-        }
-        witness = _first_failure(_law_table(inst, X, Y, Z), pools)
-        if witness is not None:
-            return fail(witness)
-    return CheckReport(name=name, passed=True, mode="randomized", trials=trials, seed=seed)
+                break
+    else:
+        rng = random.Random(seed)
+        for _ in range(trials):
+            X, Y, Z = (rng.choice(sets) for _ in range(3))
+            # One-element pools, drawn in a fixed order so that a seed replays.
+            pools = {
+                "t": [inst.sample(X, rng)],
+                "u": [inst.sample(Y, rng)],
+                "v": [inst.sample(Z, rng)],
+                "x": [rng.choice(X.elements)],
+                "f": [_sample_fun(X, Y, rng)],
+                "g": [_sample_fun(Y, Z, rng)],
+                "k": [sample_kernel(inst, X, Y, rng)],
+                "h": [sample_kernel(inst, Y, Z, rng)],
+            }
+            witness = _first_failure(_law_table(inst, X, Y, Z), pools)
+            if witness is not None:
+                break
+    return CheckReport.of_run(name, mode, trials, seed, passed=witness is None, witness=witness)
 
 
 # ---------------------------------------------------------------------------

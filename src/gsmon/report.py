@@ -6,7 +6,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from .errors import GsmonError
 from .rational import format_rat
+
+
+def require_mode(mode: str) -> None:
+    """Refuse a check mode other than "exhaustive" or "randomized"."""
+    if mode not in ("exhaustive", "randomized"):
+        raise GsmonError(f"unknown mode {mode!r}")
 
 
 def show(value) -> object:
@@ -39,6 +46,14 @@ class CheckReport:
     note: str = ""
     subreports: list = field(default_factory=list)
 
+    @classmethod
+    def of_run(cls, name: str, mode: str, trials: int, seed: int, **fields) -> "CheckReport":
+        """The report of a check run in `mode`: a randomized run records its
+        trials and seed, an exhaustive one 0 and None, since it drew nothing."""
+        if mode == "randomized":
+            return cls(name=name, mode=mode, trials=trials, seed=seed, **fields)
+        return cls(name=name, mode=mode, **fields)
+
     def to_json(self) -> dict:
         data = {
             "name": self.name,
@@ -52,6 +67,3 @@ class CheckReport:
         if self.subreports:
             data["subreports"] = [r.to_json() for r in self.subreports]
         return data
-
-    def status(self) -> str:
-        return "pass" if self.passed else "FAIL"

@@ -42,7 +42,7 @@ from .monads import (
     budgeted_product,
     classification_of,
 )
-from .report import CheckReport
+from .report import CheckReport, require_mode
 
 
 @dataclass(frozen=True)
@@ -124,32 +124,25 @@ def check_commutes(
 ) -> CheckReport:
     """Verify right(top(t)) == bottom(left(t)) over apex elements; exhaustively
     once per key of the apex index, whose first apex is the witness."""
-    name = f"commutes[{square.name}]"
-
-    def fail(t):
-        return CheckReport(
-            name=name,
-            passed=False,
-            mode=mode,
-            trials=trials if mode == "randomized" else 0,
-            seed=seed if mode == "randomized" else None,
-            witness={"apex": list(t)},
-        )
-
+    require_mode(mode)
     if mode == "exhaustive":
-        for (u, v), apexes in square.apex_index().items():
-            if square.right(u) != square.bottom(v):
-                return fail(apexes[0])
-        return CheckReport(name=name, passed=True, mode="exhaustive")
-    rng = random.Random(seed)
-    apexes = itertools.chain(
-        square.degenerate_apexes,
-        (_sample_corner(square.inst, square.tl, rng) for _ in range(trials)),
+        cases = ((ts[0], u, v) for (u, v), ts in square.apex_index().items())
+    else:
+        rng = random.Random(seed)
+        apexes = itertools.chain(
+            square.degenerate_apexes,
+            (_sample_corner(square.inst, square.tl, rng) for _ in range(trials)),
+        )
+        cases = ((t, square.top(t), square.left(t)) for t in apexes)
+    bad = next((t for t, u, v in cases if square.right(u) != square.bottom(v)), None)
+    return CheckReport.of_run(
+        f"commutes[{square.name}]",
+        mode,
+        trials,
+        seed,
+        passed=bad is None,
+        witness=None if bad is None else {"apex": list(bad)},
     )
-    for t in apexes:
-        if square.right(square.top(t)) != square.bottom(square.left(t)):
-            return fail(t)
-    return CheckReport(name=name, passed=True, mode="randomized", trials=trials, seed=seed)
 
 
 def check_pullback(
@@ -157,14 +150,15 @@ def check_pullback(
 ) -> CheckReport:
     """Decide (exhaustive) or probe (randomized) the pullback property."""
     name = f"pullback[{square.name}]"
+    # check_commutes refuses an unknown mode before any work.
     commute = check_commutes(square, mode=mode, trials=min(trials, 200), seed=seed)
     if not commute.passed:
-        return CheckReport(
-            name=name,
+        return CheckReport.of_run(
+            name,
+            mode,
+            commute.trials,
+            seed,
             passed=False,
-            mode=commute.mode,
-            trials=commute.trials,
-            seed=commute.seed,
             witness=commute.witness,
             note="square does not commute; pullback not evaluated",
         )
@@ -181,16 +175,9 @@ def check_pullback(
             for v in by_bottom.get(square.right(u), ()):
                 found = index.get((u, v), ())
                 if len(found) != 1:
-                    return CheckReport(
-                        name=name,
-                        passed=False,
-                        mode="exhaustive",
-                        witness={
-                            "cone": [list(u), list(v)],
-                            "mediators": len(found),
-                        },
-                    )
-        return CheckReport(name=name, passed=True, mode="exhaustive")
+                    witness = {"cone": [list(u), list(v)], "mediators": len(found)}
+                    return CheckReport.of_run(name, mode, trials, seed, passed=False, witness=witness)
+        return CheckReport.of_run(name, mode, trials, seed, passed=True)
 
     if square.cone_sampler is None or (square.solver is None and not square.inst.enumerable):
         raise NoSolverForRandomized(
@@ -205,24 +192,12 @@ def check_pullback(
             raise InvariantViolation(f"{square.name}: cone sampler produced an incompatible cone")
         t = square.mediator(u, v)
         if t is None:
-            return CheckReport(
-                name=name,
-                passed=False,
-                mode="randomized",
-                trials=total,
-                seed=seed,
-                witness={"cone": [list(u), list(v)], "mediators": 0},
-            )
+            witness = {"cone": [list(u), list(v)], "mediators": 0}
+            return CheckReport.of_run(name, mode, total, seed, passed=False, witness=witness)
         if square.top(t) != u or square.left(t) != v:
             raise InvariantViolation(f"{square.name}: solver output fails projections")
-    return CheckReport(
-        name=name,
-        passed=True,
-        mode="randomized",
-        trials=total,
-        seed=seed,
-        note=f"no counterexample found in {total} solver-verified cones",
-    )
+    note = f"no counterexample found in {total} solver-verified cones"
+    return CheckReport.of_run(name, mode, total, seed, passed=True, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +413,7 @@ def theorem_harness(
        object size occurring in the triples;
     3. the associativity square is a pullback for every size triple.
     """
+    require_mode(mode)
     sub = []
 
     cls = classification_of(inst)
@@ -479,11 +455,12 @@ def theorem_harness(
         if not verdict2:
             break
     sub.append(
-        CheckReport(
-            name="condition2_effect_groups",
+        CheckReport.of_run(
+            "condition2_effect_groups",
+            "exhaustive" if inst.enumerable else "randomized",
+            0,  # the sampled effect count is not recorded
+            seed,
             passed=True,
-            mode="exhaustive" if inst.enumerable else "randomized",
-            seed=None if inst.enumerable else seed,
             witness=witness2,
             note=f"all effects invertible: {verdict2}",
         )

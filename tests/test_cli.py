@@ -170,6 +170,30 @@ def test_check_ci_fails_with_exit_1(tmp_path, capsys):
     assert not doc["checks"][0]["holds"]
 
 
+def test_check_local_independence_in_process(tmp_path, capsys):
+    factors = [
+        {"name": name, "elements": [f"{name.lower()}0", f"{name.lower()}1"]}
+        for name in ("X", "Y", "Z")
+    ]
+    cells = [f"x{i},y{j},z{k}" for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+    doc = {
+        "monad": "M*",
+        "dom": {"name": "A", "elements": ["a0"]},
+        "cod": {"factors": factors},
+        "columns": {"a0": {"entries": {c: "1" for c in cells}}},
+    }
+    path = str(tmp_path / "f.json")
+    dump_json(doc, path)
+    code, out = run_json(capsys, "check", "local-independence", "--kernel", path)
+    assert code == 0
+    assert out["config"] == {
+        "command": "check local-independence", "kernel": path, "method": "auto"
+    }
+    (check,) = out["checks"]
+    assert check["passed"] and check["note"] == "premises hold"
+    assert check["reference"] == "localised independence property"
+
+
 def test_check_ci_bad_partition_exits_2(tmp_path, capsys):
     path = str(tmp_path / "f.json")
     dump_json(KERNEL_CI, path)

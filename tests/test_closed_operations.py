@@ -14,14 +14,8 @@ import random
 import pytest
 
 from gsmon.finset import FinSet, enumerate_functions
-from gsmon.monads import (
-    ALL_MONAD_IDS,
-    FreeAbelianMonad,
-    WriterMonad,
-    _all_kernels,
-    _sample_kernel,
-    get_instance,
-)
+from gsmon.kernels import enumerate_kernels, sample_kernel
+from gsmon.monads import ALL_MONAD_IDS, FreeAbelianMonad, WriterMonad, get_instance
 from gsmon.monoid import MONOID_LIBRARY
 
 SETS = [FinSet.of(f"S{n}", [f"s{n}_{i}" for i in range(1, n + 1)]) for n in (1, 2)]
@@ -59,8 +53,8 @@ def values(inst, base, rng):
 
 def kernels(inst, dom, cod, rng):
     if inst.id in SAMPLED:
-        return [_sample_kernel(inst, dom, cod, rng) for _ in range(SAMPLES)]
-    return list(_all_kernels(inst, dom, cod))
+        return [sample_kernel(inst, dom, cod, rng) for _ in range(SAMPLES)]
+    return list(enumerate_kernels(inst, dom, cod))
 
 
 def closed_results(inst, seed=0):

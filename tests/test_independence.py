@@ -203,3 +203,23 @@ def test_local_independence_vacuous_case():
     report = check_local_independence(f, factors)
     assert report.passed
     assert "vacuous" in report.note
+
+
+def diagonal_subset_kernel(inst):
+    """A -> X x Y with the one column {(x0, y0), (x1, y1)}: not a product."""
+    cod = product([X, Y])
+    return Kernel(inst, A, cod, [inst.make(cod, [("x0", "y0"), ("x1", "y1")])])
+
+
+def test_exhaustive_search_refutes_a_diagonal_subset():
+    f = diagonal_subset_kernel(get_instance("P*"))
+    result = check_ci(f, [X, Y], [[0], [1]], method="exhaustive")
+    assert (result.holds, result.method) == (False, "exhaustive_search")
+    assert result.witness == {"column": ("a0",)}
+
+
+def test_auto_picks_exhaustive_search_for_the_powerset():
+    f = diagonal_subset_kernel(get_instance("P"))
+    result = check_ci(f, [X, Y], [[0], [1]])
+    assert (result.holds, result.method) == (False, "exhaustive_search")
+    assert result.witness == {"column": ("a0",)}

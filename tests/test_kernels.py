@@ -22,7 +22,7 @@ from gsmon.kernels import (
     pairing,
     sample_kernel,
     scalar_action,
-    structural,
+    swap_k,
     tensor,
     try_effect_inverse,
 )
@@ -74,13 +74,11 @@ def test_kernel_validates_columns_per_instance():
 
 
 def test_structural_kernels():
-    cp = structural(M, "copy", X)
+    cp = copy_k(M, X)
     assert cp(("x1",)).payload[product([X, X]).index(("x1", "x1"))] == 1
-    assert structural(M, "discard", X) == discard_k(M, X)
-    sw = structural(M, "swap", X, Y)
+    assert discard_k(M, X) == Kernel(M, X, UNIT, [M.unit(UNIT, ())] * len(X))
+    sw = swap_k(M, X, Y)
     assert sw(("x0", "y1")) == M.unit(product([Y, X]), ("y1", "x0"))
-    with pytest.raises(TypeMismatch):
-        structural(M, "bogus", X)
 
 
 def test_lifted_functions_are_copyable_and_discardable():

@@ -6,12 +6,12 @@ import pytest
 
 from gsmon.errors import NotEnumerable, OutOfBound, PayloadInvalid, UnknownMonad
 from gsmon.finset import FinSet, UNIT, product
+from gsmon.kernels import enumerate_kernels
 from gsmon.monads import (
     ALL_MONAD_IDS,
     FreeAbelianMonad,
     WriterMonad,
     ENUMERATION_BUDGET,
-    _all_kernels,
     budgeted_product,
     check_monad_laws,
     classify,
@@ -79,8 +79,8 @@ def unmemoized_assoc_failure(inst, sizes):
     sets = [FinSet.of(f"S{n}", [f"s{n}_{i}" for i in range(1, n + 1)]) for n in sorted(set(sizes))]
     for X, Y, Z in itertools.product(sets, repeat=3):
         for t in inst.enumerate_values(X):
-            for k in _all_kernels(inst, X, Y):
-                for h in _all_kernels(inst, Y, Z):
+            for k in enumerate_kernels(inst, X, Y):
+                for h in enumerate_kernels(inst, Y, Z):
                     lhs = inst.extend(h, Z, inst.extend(k, Y, t))
                     rhs = inst.extend(lambda e: inst.extend(h, Z, k(e)), Z, t)
                     if lhs != rhs:
@@ -96,6 +96,24 @@ def test_memoized_law_table_finds_the_unmemoized_assoc_witness():
         "law": "kleisli_assoc",
         "inputs": [unmemoized_assoc_failure(broken, [1, 2])],
     }
+
+
+def test_randomized_law_check_finds_the_broken_assoc():
+    broken = _NonAssociativeWriter(get_monoid("Z3"))
+    report = check_monad_laws(broken, [1, 2], mode="randomized", trials=200, seed=1)
+    assert not report.passed
+    assert (report.trials, report.seed) == (200, 1)
+    assert report.witness["law"] == "kleisli_assoc"
+    # The witness t breaks associativity for some exhaustively listed k and h.
+    (t,) = report.witness["inputs"]
+    sets = [FinSet.of(f"S{n}", [f"s{n}_{i}" for i in range(1, n + 1)]) for n in (1, 2)]
+    assert any(
+        broken.extend(h, w, broken.extend(k, v, t))
+        != broken.extend(lambda e: broken.extend(h, w, k(e)), w, t)
+        for v, w in itertools.product(sets, repeat=2)
+        for k in enumerate_kernels(broken, t.base, v)
+        for h in enumerate_kernels(broken, v, w)
+    )
 
 
 def test_measure_extend_is_matrix_composition():
@@ -153,6 +171,14 @@ def test_payload_validation():
         get_instance("P*").make(X, frozenset())
     with pytest.raises(OutOfBound):
         get_instance("F").value_from_json(X, {"entries": {"x0": 17}})
+
+
+@pytest.mark.parametrize(
+    "payload", [(1.5, True), (1, True), (False, 0), (1.0, 0), (Fraction(1), 0), ("1", 0)]
+)
+def test_free_abelian_make_takes_integers_only(payload):
+    with pytest.raises(PayloadInvalid):
+        get_instance("F").make(X, payload)
 
 
 def test_free_abelian_bound_applies_only_where_values_enter():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from gsmon.errors import InvariantViolation, NoSolverForRandomized
+from gsmon import squares
+from gsmon.errors import InvariantViolation, NoSolverForRandomized, PayloadInvalid
 from gsmon.finset import FinSet
 from gsmon.monads import FreeAbelianMonad, get_instance
 from gsmon.monoid import MONOID_LIBRARY, is_group
@@ -197,6 +198,26 @@ LIBRARY_IDS = [f"writer:{name}" for name in sorted(MONOID_LIBRARY)] + ["P", "P*"
 def projected_apexes(square) -> list:
     """(top(t), left(t), t) for every apex t, in enumeration order."""
     return [(square.top(t), square.left(t), t) for t in _enumerate_corner(square.inst, square.tl)]
+
+
+def test_randomized_assoc_pullback_on_d_falls_back_to_unscaled_cones(monkeypatch):
+    # Scaling the legs of a D cone leaves D, so the sampler keeps the
+    # unscaled cone: the check still passes on every cone.
+    refused = []
+    scale = squares._scale
+
+    def counted_scale(*args):
+        try:
+            return scale(*args)
+        except PayloadInvalid:
+            refused.append(args)
+            raise
+
+    monkeypatch.setattr(squares, "_scale", counted_scale)
+    sq = build_square("assoc", get_instance("D"), [2, 2, 2])
+    report = check_pullback(sq, mode="randomized", trials=200, seed=1)
+    assert report.passed
+    assert refused
 
 
 def scan_commutes(square) -> CheckReport:
