@@ -61,7 +61,10 @@ def _parse_sizes(text: str) -> list:
 
 
 def _parse_triples(text: str) -> list:
-    return [_parse_sizes(part) for part in text.split(";") if part.strip()]
+    triples = [_parse_sizes(part) for part in text.split(";") if part.strip()]
+    if not triples:
+        raise GsmonError(f"bad --sizes value {text!r}: no entries")
+    return triples
 
 
 def _normalize_mode(mode: str) -> str:

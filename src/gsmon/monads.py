@@ -8,8 +8,8 @@ satisfy the monad laws -- `check_monad_laws` verifies them.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -653,6 +653,10 @@ def classification_of(inst: MonadInstance) -> Classification:
 # The most combinations one exhaustive enumeration may take.
 ENUMERATION_BUDGET = 20000
 
+# The most kernel pairs (k, h) one exhaustive law check may compare: about
+# 12 s of Kleisli associativity rows.
+LAW_PAIR_BUDGET = 10**7
+
 
 def budgeted_product(pools, owner: str, what: str) -> Iterator[tuple]:
     """itertools.product(*pools), refused with NotEnumerable before the first
@@ -663,76 +667,192 @@ def budgeted_product(pools, owner: str, what: str) -> Iterator[tuple]:
     lists, combinations = [], 1
     for pool in pools:
         lists.append(list(itertools.islice(pool, ENUMERATION_BUDGET + 1)))
-        combinations *= len(lists[-1])
-        if combinations > ENUMERATION_BUDGET:
-            raise NotEnumerable(
-                f"{owner}: at least {combinations} {what}"
-                f" exceed the enumeration budget of {ENUMERATION_BUDGET}"
-            )
+        combinations = _within_budget(combinations * len(lists[-1]), owner, what)
     return itertools.product(*lists)
+
+
+def _within_budget(combinations: int, owner: str, what: str) -> int:
+    """`combinations`, refused with NotEnumerable over ENUMERATION_BUDGET."""
+    if combinations > ENUMERATION_BUDGET:
+        raise NotEnumerable(
+            f"{owner}: at least {combinations} {what}"
+            f" exceed the enumeration budget of {ENUMERATION_BUDGET}"
+        )
+    return combinations
 
 
 def _sample_fun(dom: FinSet, cod: FinSet, rng) -> FinFun:
     return FinFun(dom, cod, tuple(rng.randrange(len(cod)) for _ in dom))
 
 
+def _once(memo: dict, key, compute, *args):
+    """compute(*args), stored in `memo` under `key` on first use."""
+    try:
+        return memo[key]
+    except KeyError:
+        memo[key] = out = compute(*args)
+        return out
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with compute(key).  Its __getitem__
+    can be mapped over a sequence of keys without a Python-level loop."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        self[key] = out = self.compute(key)
+        return out
+
+
+def _row_reader(row: tuple) -> Callable[[Sequence], tuple]:
+    """table -> tuple(table[i] for i in row), as one C-level call."""
+    if len(row) == 1:  # itemgetter of one index returns the entry, not a 1-tuple
+        (i,) = row
+        return lambda table: (table[i],)
+    return operator.itemgetter(*row)
+
+
 def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
     """The nine laws on (X, Y, Z) in checking order.
 
-    Each entry is (name, quantified variables, equation, witness variables).
-    A variable names its pool: x in X, t in TX, u in TY, v in TZ, functions
-    f : X -> Y and g : Y -> Z, kernels k : X -> TY and h : Y -> TZ.  The
-    equation takes the variables positionally and says whether the law holds.
+    Each entry is (name, quantified variables, equation, witness variables,
+    decision).  A variable names its pool: x in X, t in TX, u in TY, v in TZ,
+    functions f : X -> Y and g : Y -> Z, kernels k : X -> TY and h : Y -> TZ.
+    The equation takes the variables positionally and says whether the law
+    holds.  A decision, where there is one, takes the exhaustive pools and
+    says whether the equation holds for every combination of them; it may
+    say False without a failure, and then the ordered scan decides.
+
+    Sub-terms are memoized per table: `extend(k, t)` per kernel and payload,
+    and for c-naturality `map(f, t)` per function and payload, `f x g` per
+    (f, g) and both `lax_c` terms per pair of values.  A kernel's or
+    function's domain fixes the base of the values it receives, so there a
+    payload names one value; a `lax_c` argument is keyed by the id of its
+    base and its payload.  Kernels, functions, bases and memoized values are
+    keyed by id: the pools and memos keep them alive for the table's life.
+    One-element randomized pools make every memo a no-op.
     """
     unit_y = lambda e: inst.unit(Y, e)
     id_x = identity_fun(X)
     swap_xy = swap_fun(X, Y)
-    pair = functools.cache(pair_fun)  # f x g, once per (f, g) in this table
-    memo = {}
+    ext_memo, map_memo, pair_memo, c_memo = {}, {}, {}, {}
 
     def ext(kern, cod, t):
-        """inst.extend(kern, cod, t), once per kernel and payload in this table:
-        k only ever receives values over X, and h values over Y.  A kernel is
-        keyed by its id, which its pool keeps alive for the table's life."""
-        key = id(kern), t.payload
+        return _once(ext_memo, (id(kern), t.payload), inst.extend, kern, cod, t)
+
+    def fmap(f, t):
+        return _once(map_memo, (id(f), t.payload), inst.map, f, t)
+
+    def lax(t, u):
+        return _once(c_memo, (id(t.base), t.payload, id(u.base), u.payload), inst.lax_c, t, u)
+
+    def c_naturality(t, u, f, g):
+        fg = _once(pair_memo, (id(f), id(g)), pair_fun, f, g)
+        return inst.map(fg, lax(t, u)) == lax(fmap(f, t), fmap(g, u))
+
+    def assoc_by_rows(pools) -> bool:
+        """Kleisli associativity for every (t, k, h), decided on rows of value
+        indices.  A value of TY or TZ is named by its index in a list that
+        starts as its pool and takes in each value met outside it (F's pools
+        stop at its bound, and extend does not).
+
+        Row ext(k, t) over t in TX and row k(x) over x in X, per k; table
+        ext(h, s) over every listed s in TY, per h.  Per (k, h) the left row
+        is h's table read at k's extension row, and the right row
+        extend(h . k, t) over t is memoized per composite, which is h's table
+        read at k's column row.  These are the scan's equations, built from
+        the same `ext` memo.
+        """
+        tx, ty, tz = pools["t"], list(pools["u"]), list(pools["v"])
+        at_y = {v.payload: i for i, v in enumerate(ty)}
+        at_z = {v.payload: i for i, v in enumerate(tz)}
+
+        def index(at, values, v):
+            i = at.setdefault(v.payload, len(values))
+            if i == len(values):
+                values.append(v)
+            elif values[i] != v:
+                raise KeyError(v)  # one payload, two values: a value over another base
+            return i
+
+        def right_row(cols):
+            col = dict(zip(X.elements, (tz[i] for i in cols))).__getitem__
+            return tuple(index(at_z, tz, inst.extend(col, Z, t)) for t in tx)
+
         try:
-            return memo[key]
-        except KeyError:
-            memo[key] = out = inst.extend(kern, cod, t)
-            return out
+            k_rows = [
+                (tuple(index(at_y, ty, ext(k, Y, t)) for t in tx),
+                 tuple(index(at_y, ty, c) for c in k.columns))
+                for k in pools["k"]
+            ]
+            h_tables = [tuple(index(at_z, tz, ext(h, Z, s)) for s in ty) for h in pools["h"]]
+            rights = _Memo(right_row)
+            for ext_row, col_row in k_rows:
+                lefts = list(map(_row_reader(ext_row), h_tables))
+                if lefts != list(map(rights.__getitem__, map(_row_reader(col_row), h_tables))):
+                    return False
+        except Exception:  # a broken closure: the ordered scan meets it in its own order
+            return False
+        return True
 
     return (
         ("kleisli_left_unit", "xk",
-         lambda x, k: inst.extend(k, Y, inst.unit(X, x)) == k(x), "x"),
+         lambda x, k: inst.extend(k, Y, inst.unit(X, x)) == k(x), "x", None),
         ("kleisli_right_unit", "u",
-         lambda u: inst.extend(unit_y, Y, u) == u, "u"),
+         lambda u: inst.extend(unit_y, Y, u) == u, "u", None),
         ("kleisli_assoc", "tkh",
          lambda t, k, h: ext(h, Z, ext(k, Y, t))
-         == inst.extend(lambda e: ext(h, Z, k(e)), Z, t), "t"),
+         == inst.extend(lambda e: ext(h, Z, k(e)), Z, t), "t", assoc_by_rows),
         ("functor_identity", "t",
-         lambda t: inst.map(id_x, t) == t, "t"),
+         lambda t: inst.map(id_x, t) == t, "t", None),
         ("functor_composition", "tfg",
-         lambda t, f, g: inst.map(g.compose(f), t) == inst.map(g, inst.map(f, t)), "t"),
+         lambda t, f, g: inst.map(g.compose(f), t) == inst.map(g, inst.map(f, t)), "t", None),
         ("unit_naturality", "xf",
-         lambda x, f: inst.map(f, inst.unit(X, x)) == inst.unit(Y, f(x)), "x"),
-        ("c_naturality", "tufg",
-         lambda t, u, f, g: inst.map(pair(f, g), inst.lax_c(t, u))
-         == inst.lax_c(inst.map(f, t), inst.map(g, u)), "tu"),
+         lambda x, f: inst.map(f, inst.unit(X, x)) == inst.unit(Y, f(x)), "x", None),
+        ("c_naturality", "tufg", c_naturality, "tu", None),
         ("c_symmetry", "tu",
-         lambda t, u: inst.map(swap_xy, inst.lax_c(t, u)) == inst.lax_c(u, t), "tu"),
+         lambda t, u: inst.map(swap_xy, inst.lax_c(t, u)) == inst.lax_c(u, t), "tu", None),
         ("c_associativity", "tuv",
          lambda t, u, v: inst.lax_c(t, inst.lax_c(u, v)) == inst.lax_c(inst.lax_c(t, u), v),
-         "tuv"),
+         "tuv", None),
     )
 
 
-def _first_failure(laws: tuple, pools: dict) -> Optional[dict]:
-    """Run each law over every combination drawn from its variables' pools."""
-    for law, variables, holds, witness in laws:
+def _first_failure(laws: tuple, pools: dict, decide: bool = False) -> Optional[dict]:
+    """Run each law over every combination drawn from its variables' pools, in
+    order.  With `decide`, a law whose decision holds is not scanned."""
+    for law, variables, holds, witness, decision in laws:
+        if decide and decision is not None and decision(pools):
+            continue
         for args in itertools.product(*(pools[v] for v in variables)):
             if not holds(*args):
                 return {"law": law, "inputs": [args[variables.index(w)] for w in witness]}
     return None
+
+
+def law_pairs(inst: MonadInstance, sets: Sequence[FinSet]) -> int:
+    """The kernel pairs (k, h) an exhaustive law check on `sets` compares:
+    the sum over (X, Y, Z) of |K(X, Y)| * |K(Y, Z)|, where |K(X, Y)| =
+    |TY|^|X|.  A kernel enumeration over ENUMERATION_BUDGET is refused here,
+    as `budgeted_product` refuses it, the first one in checking order."""
+    values = {
+        S: sum(1 for _ in itertools.islice(inst.enumerate_values(S), ENUMERATION_BUDGET + 1))
+        for S in sets
+    }
+    kernels = {}
+    for X, Y, Z in itertools.product(sets, repeat=3):
+        for dom, cod in ((X, Y), (Y, Z)):
+            if (dom, cod) not in kernels:
+                count = 1
+                for _ in dom:
+                    count = _within_budget(
+                        count * values[cod], inst.id, f"kernels {dom.name} -> {cod.name}"
+                    )
+                kernels[dom, cod] = count
+    return sum(kernels[X, Y] * kernels[Y, Z] for X, Y, Z in itertools.product(sets, repeat=3))
 
 
 def check_monad_laws(
@@ -745,8 +865,11 @@ def check_monad_laws(
     """Verify monad, functor and commutativity laws on small objects.
 
     Exhaustive mode enumerates all values, functions and kernels on objects
-    of the given sizes (requires an enumerator); randomized mode runs seeded
-    trials with freshly sampled ingredients, still compared exactly.
+    of the given sizes (requires an enumerator); it is refused before the
+    first law when a kernel enumeration is over ENUMERATION_BUDGET or when it
+    would compare more than LAW_PAIR_BUDGET kernel pairs.  Randomized mode
+    runs seeded trials with freshly sampled ingredients, still compared
+    exactly.
     """
     from .kernels import enumerate_kernels, sample_kernel
 
@@ -759,9 +882,13 @@ def check_monad_laws(
     if mode == "exhaustive":
         if not inst.enumerable:
             raise NotEnumerable(f"{inst.id}: exhaustive law check needs an enumerator")
+        pairs = law_pairs(inst, sets)
+        if pairs > LAW_PAIR_BUDGET:
+            raise NotEnumerable(
+                f"{inst.id}: {pairs} kernel pairs of the law check"
+                f" exceed the law-check budget of {LAW_PAIR_BUDGET}"
+            )
         for X, Y, Z in itertools.product(sets, repeat=3):
-            # Every pool is built before the first law runs, so an over-budget
-            # kernel enumeration is refused before any law is checked.
             pools = {
                 "t": list(inst.enumerate_values(X)),
                 "u": list(inst.enumerate_values(Y)),
@@ -772,7 +899,7 @@ def check_monad_laws(
                 "h": list(enumerate_kernels(inst, Y, Z)),
                 "x": X.elements,
             }
-            witness = _first_failure(_law_table(inst, X, Y, Z), pools)
+            witness = _first_failure(_law_table(inst, X, Y, Z), pools, decide=True)
             if witness is not None:
                 break
     else:

@@ -31,7 +31,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import InvariantViolation, NoSolverForRandomized, NotEnumerable, PayloadInvalid
+from .errors import (
+    InvariantViolation,
+    MalformedInput,
+    NoSolverForRandomized,
+    NotEnumerable,
+    PayloadInvalid,
+)
 from .finset import FinSet, UNIT, fun_from_callable, product, projection_fun
 from .kernels import Kernel, enumerate_kernels, sample_kernel, try_effect_inverse
 from .monads import (
@@ -414,6 +420,8 @@ def theorem_harness(
     3. the associativity square is a pullback for every size triple.
     """
     require_mode(mode)
+    if not size_triples:  # conditions 2 and 3 would hold vacuously
+        raise MalformedInput("theorem harness: no size triples to check")
     sub = []
 
     cls = classification_of(inst)

@@ -317,8 +317,9 @@ def test_laws_on_f_pass(capsys, bound, sizes):
     assert doc["checks"][0]["passed"]
 
 
-# One refusal per caller of the enumeration budget, in a subprocess so that
-# an enumeration that is not refused fails on the timeout instead of hanging.
+# One refusal per caller of the enumeration budget, and the law-check budget,
+# each in a subprocess so that a run that is not refused fails on the timeout
+# instead of hanging.
 F_KERNEL = os.path.join(os.path.dirname(__file__), "golden", "kernels", "F.json")
 OVER_BUDGET = [
     (("check", "laws", "--monad", "F", "--sizes", "2"), "kernels S2 -> S2"),
@@ -329,7 +330,12 @@ OVER_BUDGET = [
       "--mode", "random"), "elements of a square corner"),
     (("check", "ci", "--kernel", F_KERNEL, "--partition", "X|Y", "--method", "exhaustive"),
      "factor combinations per column"),
+    # Every kernel enumeration fits (19,683 kernels S3 -> S3); the whole check does not.
+    (("check", "laws", "--monad", "F", "--bound", "1", "--sizes", "1,2,3"),
+     "418425003 kernel pairs of the law check"),
 ]
+# The budget each refusal names, where it is not the enumeration budget.
+BUDGET_OF = {"418425003 kernel pairs of the law check": "law-check budget of 10000000"}
 
 
 @pytest.mark.parametrize("argv,what", OVER_BUDGET)
@@ -341,7 +347,8 @@ def test_over_budget_enumeration_is_refused_up_front(argv, what):
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
-    assert f"{what} exceed the enumeration budget of 20000" in proc.stderr
+    budget = BUDGET_OF.get(what, "enumeration budget of 20000")
+    assert f"{what} exceed the {budget}" in proc.stderr
 
 
 # Options that no handler of the subcommand reads are not accepted.
@@ -425,6 +432,16 @@ def test_bad_sizes_exit_2(capsys, sizes):
     argv = ["check", "laws", "--monad", "M*", "--mode", "random", "--sizes", sizes]
     assert main(argv) == 2
     assert "bad --sizes value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("monad,mode", [("writer:Z3", "exhaustive"), ("M", "random")])
+@pytest.mark.parametrize("sizes", [";", " "])
+def test_theorem_with_no_size_triples_exits_2(capsys, monad, mode, sizes):
+    argv = ["check", "theorem", "--monad", monad, "--mode", mode, "--sizes", sizes]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "bad --sizes value" in err and "no entries" in err
 
 
 def test_negative_seed_is_accepted(capsys):

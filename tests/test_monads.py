@@ -4,20 +4,32 @@ from fractions import Fraction
 
 import pytest
 
+from gsmon import monads
 from gsmon.errors import NotEnumerable, OutOfBound, PayloadInvalid, UnknownMonad
-from gsmon.finset import FinSet, UNIT, product
-from gsmon.kernels import enumerate_kernels
+from gsmon.finset import (
+    FinSet,
+    UNIT,
+    enumerate_functions,
+    identity_fun,
+    pair_fun,
+    product,
+    swap_fun,
+)
+from gsmon.kernels import Kernel, enumerate_kernels
 from gsmon.monads import (
     ALL_MONAD_IDS,
     FreeAbelianMonad,
     WriterMonad,
     ENUMERATION_BUDGET,
+    LAW_PAIR_BUDGET,
     budgeted_product,
     check_monad_laws,
     classify,
     get_instance,
+    law_pairs,
 )
-from gsmon.monoid import FiniteMonoid, get_monoid
+from gsmon.monoid import MONOID_LIBRARY, FiniteMonoid, get_monoid
+from gsmon.report import CheckReport
 
 X = FinSet.of("X", ["x0", "x1"])
 Y = FinSet.of("Y", ["y0", "y1"])
@@ -28,7 +40,7 @@ SAMPLED = ["M", "M*", "D", "F"]
 
 @pytest.mark.parametrize("monad_id", ENUMERABLE)
 def test_laws_exhaustive(monad_id):
-    report = check_monad_laws(get_instance(monad_id), [1, 2], mode="exhaustive")
+    report = check_monad_laws(get_instance(monad_id), [1, 2, 3], mode="exhaustive")
     assert report.passed, report.witness
 
 
@@ -96,6 +108,141 @@ def test_memoized_law_table_finds_the_unmemoized_assoc_witness():
         "law": "kleisli_assoc",
         "inputs": [unmemoized_assoc_failure(broken, [1, 2])],
     }
+
+
+def law_sets(sizes):
+    return [FinSet.of(f"S{n}", [f"s{n}_{i}" for i in range(1, n + 1)]) for n in sorted(set(sizes))]
+
+
+def oracle_law_failure(inst, sizes):
+    """The first failing law and its witness inputs, by an ordered scan of
+    all nine laws with every term computed afresh; None when all hold."""
+    unit, ext, fmap, c = inst.unit, inst.extend, inst.map, inst.lax_c
+    for X, Y, Z in itertools.product(law_sets(sizes), repeat=3):
+        tx, ty, tz = (list(inst.enumerate_values(S)) for S in (X, Y, Z))
+        fs, gs = list(enumerate_functions(X, Y)), list(enumerate_functions(Y, Z))
+        ks, hs = list(enumerate_kernels(inst, X, Y)), list(enumerate_kernels(inst, Y, Z))
+        scans = (
+            ("kleisli_left_unit", ((x,) for x, k in itertools.product(X.elements, ks)
+                                   if ext(k, Y, unit(X, x)) != k(x))),
+            ("kleisli_right_unit", ((u,) for u in ty
+                                    if ext(lambda e: unit(Y, e), Y, u) != u)),
+            ("kleisli_assoc", ((t,) for t, k, h in itertools.product(tx, ks, hs)
+                               if ext(h, Z, ext(k, Y, t))
+                               != ext(lambda e: ext(h, Z, k(e)), Z, t))),
+            ("functor_identity", ((t,) for t in tx if fmap(identity_fun(X), t) != t)),
+            ("functor_composition", ((t,) for t, f, g in itertools.product(tx, fs, gs)
+                                     if fmap(g.compose(f), t) != fmap(g, fmap(f, t)))),
+            ("unit_naturality", ((x,) for x, f in itertools.product(X.elements, fs)
+                                 if fmap(f, unit(X, x)) != unit(Y, f(x)))),
+            ("c_naturality", ((t, u) for t, u, f, g in itertools.product(tx, ty, fs, gs)
+                              if fmap(pair_fun(f, g), c(t, u)) != c(fmap(f, t), fmap(g, u)))),
+            ("c_symmetry", ((t, u) for t, u in itertools.product(tx, ty)
+                            if fmap(swap_fun(X, Y), c(t, u)) != c(u, t))),
+            ("c_associativity", ((t, u, v) for t, u, v in itertools.product(tx, ty, tz)
+                                 if c(t, c(u, v)) != c(c(t, u), v))),
+        )
+        for law, failures in scans:
+            inputs = next(failures, None)
+            if inputs is not None:
+                return {"law": law, "inputs": list(inputs)}
+    return None
+
+
+def oracle_law_report(inst, sizes) -> dict:
+    witness = oracle_law_failure(inst, sizes)
+    return CheckReport(f"monad_laws[{inst.id}]", passed=witness is None, witness=witness).to_json()
+
+
+DIFFERENTIAL = [f"writer:{name}" for name in MONOID_LIBRARY] + ["P", "P*", "Id", "F(B=1)"]
+
+
+@pytest.mark.parametrize("monad_id", DIFFERENTIAL)
+def test_exhaustive_law_check_matches_the_unmemoized_scan(monad_id):
+    inst = get_instance(monad_id)
+    assert check_monad_laws(inst, [1, 2]).to_json() == oracle_law_report(inst, [1, 2])
+
+
+class _LeakyWriter(WriterMonad):
+    """Writer monad whose extend, at x = s2_2 with a non-unit label on both t
+    and col(x), writes a label outside the monoid (unchecked, as a closed
+    operation would), and any product with that label is that label again.
+    Both unit laws hold; Kleisli associativity meets values outside every
+    pool, and fails."""
+
+    LEAK = "leak"
+
+    def extend(self, col, cod, t):
+        a, x = t.payload
+        b, y = col(x).payload
+        unit = self.monoid.label(self.monoid.unit)
+        if x == ("s2_2",) and a != unit and b != unit:
+            return self._value(cod, (self.LEAK, y))
+        return self._value(cod, (self._mul(a, b), y))
+
+    def _mul(self, a, b):
+        return self._times.get((a, b), self.LEAK)
+
+
+class _LabelDroppingWriter(WriterMonad):
+    """Writer monad whose lax_c drops t's label at the pair (s2_1, s2_2):
+    every law before c-naturality holds, and c-naturality fails."""
+
+    def lax_c(self, t, u):
+        a, x = t.payload
+        b, y = u.payload
+        label = b if (x, y) == (("s2_1",), ("s2_2",)) else self._mul(a, b)
+        return self._value(product([t.base, u.base]), (label, x + y))
+
+
+class _MisplacedWriter(WriterMonad):
+    """Writer monad whose extend, along a column function that is not a
+    kernel, puts its value over t's base instead of the codomain.  Both unit
+    laws hold; Kleisli associativity fails where X != Z, on values that carry
+    the payloads of pool values over another base."""
+
+    def extend(self, col, cod, t):
+        out = super().extend(col, cod, t)
+        return out if isinstance(col, Kernel) else self._value(t.base, out.payload)
+
+
+@pytest.mark.parametrize(
+    "broken,law",
+    [(_LeakyWriter(get_monoid("Z2")), "kleisli_assoc"),
+     (_MisplacedWriter(get_monoid("Z2")), "kleisli_assoc"),
+     (_LabelDroppingWriter(get_monoid("Z3")), "c_naturality")],
+)
+def test_fast_paths_report_the_unmemoized_witness(broken, law):
+    report = check_monad_laws(broken, [1, 2])
+    assert report.witness["law"] == law
+    assert report.to_json() == oracle_law_report(broken, [1, 2])
+
+
+def test_law_pairs_counts_kernel_pairs_per_table():
+    # |K(X, Y)| = |TY|^|X|; writer:Z3 has 3 |S| values over S.
+    k = {(x, y): (3 * y) ** x for x in (1, 2) for y in (1, 2)}
+    expected = sum(k[x, y] * k[y, z] for x, y, z in itertools.product((1, 2), repeat=3))
+    assert law_pairs(get_instance("writer:Z3"), law_sets([1, 2])) == expected
+    assert law_pairs(get_instance("writer:Z3"), law_sets([1, 2, 3])) == 829278
+    assert law_pairs(get_instance("writer:Z2xZ2"), law_sets([1, 2, 3])) == 4473568
+    # A kernel enumeration over its own budget is refused as budgeted_product words it.
+    with pytest.raises(NotEnumerable, match="at least 1185921 kernels S2 -> S2 exceed"):
+        law_pairs(get_instance("F"), law_sets([2]))
+
+
+def test_law_check_over_a_budget_is_refused_before_any_law(monkeypatch):
+    monkeypatch.setattr(monads, "_law_table", lambda *a: pytest.fail("a law ran"))
+    # The kernels S1 -> S3 of F (35,937 of them) are first met at (S1, S1, S3),
+    # after the laws of (S1, S1, S1).
+    with pytest.raises(NotEnumerable, match="at least 20001 kernels S1 -> S3 exceed"):
+        check_monad_laws(get_instance("F"), [1, 3])
+    monkeypatch.setattr(monads, "LAW_PAIR_BUDGET", 100)
+    inst = get_instance("writer:Z2")
+    pairs = law_pairs(inst, law_sets([1, 2]))
+    with pytest.raises(NotEnumerable, match=f"{pairs} kernel pairs of the law check exceed"
+                                            " the law-check budget of 100"):
+        check_monad_laws(inst, [1, 2])
+    assert LAW_PAIR_BUDGET == 10**7
 
 
 def test_randomized_law_check_finds_the_broken_assoc():

@@ -3,7 +3,12 @@ import random
 import pytest
 
 from gsmon import squares
-from gsmon.errors import InvariantViolation, NoSolverForRandomized, PayloadInvalid
+from gsmon.errors import (
+    InvariantViolation,
+    MalformedInput,
+    NoSolverForRandomized,
+    PayloadInvalid,
+)
 from gsmon.finset import FinSet
 from gsmon.monads import FreeAbelianMonad, get_instance
 from gsmon.monoid import MONOID_LIBRARY, is_group
@@ -171,6 +176,14 @@ def test_theorem_harness_mstar_all_true():
     )
     assert report.passed
     assert "t1_group=True" in report.note
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "randomized"])
+def test_theorem_harness_refuses_an_empty_size_list(monkeypatch, mode):
+    # Conditions 2 and 3 would hold vacuously; the refusal comes before any work.
+    monkeypatch.setattr(squares, "classification_of", lambda inst: pytest.fail("classified"))
+    with pytest.raises(MalformedInput, match="no size triples"):
+        theorem_harness(get_instance("M"), [], mode=mode)
 
 
 def test_build_square_names():
