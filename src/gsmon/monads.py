@@ -13,7 +13,7 @@ import operator
 import random
 import re
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -40,7 +40,7 @@ from .finset import (
     swap_fun,
 )
 from .monoid import FiniteMonoid
-from .rational import ONE, ZERO, format_rat, parse_rat
+from .rational import Table, format_rat, parse_rat
 from .report import CheckReport, require_mode
 
 _INT_RE = re.compile(r"-?[0-9]+")
@@ -162,56 +162,79 @@ class MonadInstance:
 class _TableMonad(MonadInstance):
     """Shared table arithmetic for M, M*, D and F.
 
-    Payload: a tuple of scalars aligned with the base order.  Subclasses
-    give the scalar zero and one, the scalar's text and JSON forms, and
-    their own validation and sampling.
+    Payload: a `Table`, the entries aligned with the base order as integer
+    numerators over one denominator in canonical form (F's over 1).  Only
+    this class and `rational` read numerators and denominators.
+    Subclasses give the scalar's JSON form, the checks of `_check_table`
+    and their own sampling.
 
-    The closed operations build their results unchecked (`_value`), starting
-    every sum from `zero_scalar` so that each entry keeps the scalar type:
+    The closed operations build their results unchecked (`_value`):
     products and sums of non-negative tables stay non-negative; a non-zero
     table times a non-zero table is non-zero; pushforward and `lax_c`
-    preserve total mass, so D stays normalised.
+    preserve total mass, so D stays normalised; F's integer tables keep
+    the denominator 1.
     """
 
-    zero_scalar: object = ZERO
-    one_scalar: object = ONE
-    scalar_text = staticmethod(format_rat)
     scalar_to_json = staticmethod(format_rat)
     scalar_from_json = staticmethod(parse_rat)
 
+    def validate(self, base: FinSet, payload):
+        """A Table is taken as it is; anything else is read as a sequence
+        of entries by `_table_of`."""
+        table = payload if type(payload) is Table else self._table_of(payload)
+        if len(table.nums) != len(base):
+            raise PayloadInvalid(f"{self.id}: table size does not match {base.name}")
+        self._check_table(table)
+        return table
+
+    def _table_of(self, payload) -> Table:
+        try:
+            return Table.of_entries(payload)
+        except TypeError:
+            raise PayloadInvalid(
+                f"{self.id}: entries must be integers or fractions, got {payload!r}"
+            ) from None
+
+    def _check_table(self, table: Table) -> None:
+        """PayloadInvalid unless `table` is a value of this monad."""
+
     def unit(self, base: FinSet, x: Elem) -> TValue:
         self._check_x(base, x)
-        out = [self.zero_scalar] * len(base)
-        out[base.index(x)] = self.one_scalar
-        return self._value(base, tuple(out))
+        nums = [0] * len(base)
+        nums[base.index(x)] = 1
+        return self._value(base, Table(tuple(nums)))
 
     def map(self, f: FinFun, t: TValue) -> TValue:
-        out = [self.zero_scalar] * len(f.cod)
-        for e, v in zip(t.base.elements, t.payload):
-            out[f.cod.index(f(e))] += v
-        return self._value(f.cod, tuple(out))
+        table = t.payload
+        nums = [0] * len(f.cod)
+        for e, n in zip(t.base.elements, table.nums):
+            nums[f.cod.index(f(e))] += n
+        return self._value(f.cod, Table.reduced(nums, table.den))
 
     def extend(self, col, cod: FinSet, t: TValue) -> TValue:
-        out = [self.zero_scalar] * len(cod)
-        for e, v in zip(t.base.elements, t.payload):
-            if v == 0:
-                continue
-            for j, w in enumerate(col(e).payload):
-                out[j] += v * w
-        return self._value(cod, tuple(out))
+        table = t.payload
+        cols = [(n, col(e).payload) for e, n in zip(t.base.elements, table.nums) if n]
+        den = lcm(*(c.den for _, c in cols))
+        nums = [0] * len(cod)
+        for n, c in cols:
+            scale = n * (den // c.den)
+            for j, m in enumerate(c.nums):
+                nums[j] += scale * m
+        return self._value(cod, Table.reduced(nums, den * table.den))
 
     def lax_c(self, t: TValue, u: TValue) -> TValue:
-        base = product([t.base, u.base])
-        return self._value(base, tuple(v * w for v in t.payload for w in u.payload))
+        a, b = t.payload, u.payload
+        nums = [m * n for m in a.nums for n in b.nums]
+        return self._value(product([t.base, u.base]), Table.reduced(nums, a.den * b.den))
 
     def zero(self, base: FinSet) -> TValue:
         if not self.has_zero:
             return super().zero(base)
-        return self._value(base, (self.zero_scalar,) * len(base))
+        return self._value(base, Table((0,) * len(base)))
 
     def value_text(self, t: TValue) -> str:
         entries = [
-            f"{elem_to_str(e)}:{self.scalar_text(v)}"
+            f"{elem_to_str(e)}:{format_rat(v)}"
             for e, v in zip(t.base.elements, t.payload)
             if v != 0
         ]
@@ -231,30 +254,25 @@ class _TableMonad(MonadInstance):
         for e in table:
             if e not in base:
                 raise MalformedInput(f"{elem_to_str(e)} not in {base.name}")
-        return self.make(base, tuple(table.get(e, self.zero_scalar) for e in base.elements))
+        return self.make(base, tuple(table.get(e, 0) for e in base.elements))
+
+
+def _sampled_ratios(base: FinSet, rng: random.Random) -> list:
+    """One (numerator, denominator) draw per element of `base`, in order."""
+    return [(rng.randint(0, SAMPLE_NUM_MAX), rng.randint(1, SAMPLE_DEN_MAX)) for _ in base]
 
 
 class _MeasureBase(_TableMonad):
-    """Nonnegative rational tables for M, M* and D (payload: tuple of Fractions)."""
+    """Nonnegative rational tables for M, M* and D."""
 
     measure_like = True
 
-    def validate(self, base: FinSet, payload):
-        payload = tuple(Fraction(v) for v in payload)
-        if len(payload) != len(base):
-            raise PayloadInvalid(f"{self.id}: table size does not match {base.name}")
-        if any(v < 0 for v in payload):
+    def _check_table(self, table: Table) -> None:
+        if min(table.nums, default=0) < 0:
             raise PayloadInvalid(f"{self.id}: negative entry")
-        return payload
 
     def sample(self, base: FinSet, rng: random.Random) -> TValue:
-        return self.make(
-            base,
-            tuple(
-                Fraction(rng.randint(0, SAMPLE_NUM_MAX), rng.randint(1, SAMPLE_DEN_MAX))
-                for _ in base
-            ),
-        )
+        return self.make(base, Table.of_ratios(_sampled_ratios(base, rng)))
 
     def t1_inverse(self, t: TValue) -> Optional[TValue]:
         v = t.payload[0]
@@ -286,11 +304,10 @@ class NonzeroMeasureMonad(_MeasureBase):
 
     id = "M*"
 
-    def validate(self, base: FinSet, payload):
-        payload = super().validate(base, payload)
-        if all(v == 0 for v in payload):
+    def _check_table(self, table: Table) -> None:
+        super()._check_table(table)
+        if not any(table.nums):
             raise PayloadInvalid("M*: zero table is not a valid value")
-        return payload
 
     def sample(self, base: FinSet, rng: random.Random) -> TValue:
         while True:
@@ -308,7 +325,7 @@ class NonzeroMeasureMonad(_MeasureBase):
                 raise InvariantViolation("M* reciprocal solver failed")
         return Classification(
             "weakly_affine_not_affine",
-            witness=self.make(UNIT, (Fraction(2),)),
+            witness=self.make(UNIT, (2,)),
             evidence="solver-asserted",
             note=f"reciprocal inverse verified on {trials} samples; 2 != 1 in T1",
         )
@@ -319,21 +336,17 @@ class DistributionMonad(_MeasureBase):
 
     id = "D"
 
-    def validate(self, base: FinSet, payload):
-        payload = super().validate(base, payload)
-        if sum(payload) != 1:
+    def _check_table(self, table: Table) -> None:
+        super()._check_table(table)
+        if sum(table.nums) != table.den:
             raise PayloadInvalid("D: table does not sum to 1")
-        return payload
 
     def sample(self, base: FinSet, rng: random.Random) -> TValue:
         while True:
-            raw = [
-                Fraction(rng.randint(0, SAMPLE_NUM_MAX), rng.randint(1, SAMPLE_DEN_MAX))
-                for _ in base
-            ]
-            total = sum(raw)
-            if total != 0:
-                return self.make(base, tuple(v / total for v in raw))
+            raw = Table.of_ratios(_sampled_ratios(base, rng))
+            total = sum(raw.nums)
+            if total != 0:  # raw / (total / raw.den)
+                return self.make(base, Table.reduced(raw.nums, total))
 
     def solver_classification(self, trials: int, rng: random.Random) -> "Classification":
         one = self.unit(UNIT, ())
@@ -528,8 +541,8 @@ class WriterMonad(MonadInstance):
 
 
 class FreeAbelianMonad(_TableMonad):
-    """Free abelian group: integer multisets.  Payload: tuple of ints aligned
-    with the base order.
+    """Free abelian group: integer multisets.  Payload: a `Table` over the
+    denominator 1, aligned with the base order.
 
     The bound B caps the magnitude of a multiplicity only where values enter:
     a decoded JSON value (`OutOfBound` above it), the enumerator (-B..B) and
@@ -537,9 +550,6 @@ class FreeAbelianMonad(_TableMonad):
 
     enumerable = True
     has_zero = True
-    zero_scalar = 0
-    one_scalar = 1
-    scalar_text = staticmethod(str)
     scalar_to_json = staticmethod(int)
 
     @staticmethod
@@ -557,17 +567,19 @@ class FreeAbelianMonad(_TableMonad):
         self.bound = bound
         self.id = f"F(B={bound})" if bound != 16 else "F"
 
-    def validate(self, base: FinSet, payload):
+    def _table_of(self, payload) -> Table:
         payload = tuple(payload)
         if any(type(v) is not int for v in payload):  # no bool, float or Fraction
             raise PayloadInvalid(f"F: entries must be integers, got {payload!r}")
-        if len(payload) != len(base):
-            raise PayloadInvalid("F: table size does not match base")
-        return payload
+        return Table(payload)
+
+    def _check_table(self, table: Table) -> None:
+        if table.den != 1:
+            raise PayloadInvalid(f"F: entries must be integers, got {table!r}")
 
     def value_from_json(self, base: FinSet, data) -> TValue:
         t = super().value_from_json(base, data)
-        for v in t.payload:
+        for v in t.payload.nums:
             if abs(v) > self.bound:
                 raise OutOfBound(f"F: multiplicity {v} exceeds bound {self.bound}")
         return t

@@ -211,7 +211,7 @@ def check_pullback(
 
 
 def _scale(inst, t: TValue, factor: Fraction) -> TValue:
-    return inst.make(t.base, tuple(v * factor for v in t.payload))
+    return inst.make(t.base, t.payload.scaled(factor))
 
 
 def _nonzero_scalar(rng) -> Fraction:
