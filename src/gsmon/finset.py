@@ -138,11 +138,12 @@ def swap_fun(x: FinSet, y: FinSet) -> FinFun:
 
 
 def pair_fun(f: FinFun, g: FinFun) -> FinFun:
-    """f x g on flattened products."""
+    """f x g on flattened products.  Products are lexicographic, so the cell
+    (i, j) of the domain maps to f(i) * |g.cod| + g(j)."""
     dom = product([f.dom, g.dom])
     cod = product([f.cod, g.cod])
-    cut = f.dom.arity
-    return fun_from_callable(dom, cod, lambda e: f(e[:cut]) + g(e[cut:]))
+    n = len(g.cod)
+    return FinFun(dom, cod, tuple(i * n + j for i in f.mapping for j in g.mapping))
 
 
 def regroup(factors: Sequence[FinSet], order: Sequence[int]) -> Callable[[Elem], Elem]:

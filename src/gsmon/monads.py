@@ -666,7 +666,9 @@ def classification_of(inst: MonadInstance) -> Classification:
 ENUMERATION_BUDGET = 20000
 
 # The most kernel pairs (k, h) one exhaustive law check may compare: about
-# 12 s of Kleisli associativity rows.
+# 10 s for a writer monad (writer:Z2xZ2 at sizes 1,2,3 compares 4.5e6 pairs
+# in 4 CPU seconds) and longer for a table monad (F(B=2) at sizes 1,2
+# compares 4.2e5 pairs in 5 s).
 LAW_PAIR_BUDGET = 10**7
 
 
@@ -719,6 +721,29 @@ class _Memo(dict):
         return out
 
 
+class _Listing(list):
+    """Values named by their index: calling it with a value gives the value's
+    index, listing it on first sight.  Values are looked up by payload, so
+    two values with one payload (one of them over another base) raise
+    KeyError."""
+
+    def __init__(self, values=()):
+        super().__init__()
+        self.at = {}
+        for v in values:
+            self(v)
+
+    def __call__(self, v: TValue) -> int:
+        i = self.at.setdefault(v.payload, len(self))
+        if i == len(self):
+            self.append(v)
+        else:
+            w = self[i]  # one base and one monad object make equal values
+            if not (w.base is v.base and w.monad is v.monad) and w != v:
+                raise KeyError(v)
+        return i
+
+
 def _row_reader(row: tuple) -> Callable[[Sequence], tuple]:
     """table -> tuple(table[i] for i in row), as one C-level call."""
     if len(row) == 1:  # itemgetter of one index returns the entry, not a 1-tuple
@@ -736,21 +761,27 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
     The equation takes the variables positionally and says whether the law
     holds.  A decision, where there is one, takes the exhaustive pools and
     says whether the equation holds for every combination of them; it may
-    say False without a failure, and then the ordered scan decides.
+    say False, or raise, without a failure, and then the ordered scan
+    decides.
+
+    Kleisli associativity, functor composition, c-naturality and
+    c-associativity have decisions.  Each names the values it meets by
+    their index in a `_Listing`, computes the scan's own terms once per
+    table row or memo key, and compares rows of indices: two indices are
+    equal exactly when the two values are.  None of them calls the equation.
 
     Sub-terms are memoized per table: `extend(k, t)` per kernel and payload,
-    and for c-naturality `map(f, t)` per function and payload, `f x g` per
-    (f, g) and both `lax_c` terms per pair of values.  A kernel's or
-    function's domain fixes the base of the values it receives, so there a
-    payload names one value; a `lax_c` argument is keyed by the id of its
-    base and its payload.  Kernels, functions, bases and memoized values are
-    keyed by id: the pools and memos keep them alive for the table's life.
-    One-element randomized pools make every memo a no-op.
+    `map(f, t)` per function and payload, and `lax_c` per pair of values.  A kernel's or function's domain fixes the base of the
+    values it receives, so there a payload names one value; a `lax_c`
+    argument is keyed by the id of its base and its payload.  Kernels,
+    functions, bases and memoized values are keyed by id: the pools and
+    memos keep them alive for the table's life.  One-element randomized
+    pools make every memo a no-op.
     """
     unit_y = lambda e: inst.unit(Y, e)
     id_x = identity_fun(X)
     swap_xy = swap_fun(X, Y)
-    ext_memo, map_memo, pair_memo, c_memo = {}, {}, {}, {}
+    ext_memo, map_memo, c_memo = {}, {}, {}
 
     def ext(kern, cod, t):
         return _once(ext_memo, (id(kern), t.payload), inst.extend, kern, cod, t)
@@ -761,53 +792,90 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
     def lax(t, u):
         return _once(c_memo, (id(t.base), t.payload, id(u.base), u.payload), inst.lax_c, t, u)
 
-    def c_naturality(t, u, f, g):
-        fg = _once(pair_memo, (id(f), id(g)), pair_fun, f, g)
-        return inst.map(fg, lax(t, u)) == lax(fmap(f, t), fmap(g, u))
-
     def assoc_by_rows(pools) -> bool:
-        """Kleisli associativity for every (t, k, h), decided on rows of value
-        indices.  A value of TY or TZ is named by its index in a list that
-        starts as its pool and takes in each value met outside it (F's pools
-        stop at its bound, and extend does not).
+        """Kleisli associativity for every (t, k, h).  The lists of TY and TZ
+        values start as their pools (F's pools stop at its bound, and
+        extend does not).
 
         Row ext(k, t) over t in TX and row k(x) over x in X, per k; table
         ext(h, s) over every listed s in TY, per h.  Per (k, h) the left row
         is h's table read at k's extension row, and the right row
         extend(h . k, t) over t is memoized per composite, which is h's table
-        read at k's column row.  These are the scan's equations, built from
-        the same `ext` memo.
+        read at k's column row.
         """
-        tx, ty, tz = pools["t"], list(pools["u"]), list(pools["v"])
-        at_y = {v.payload: i for i, v in enumerate(ty)}
-        at_z = {v.payload: i for i, v in enumerate(tz)}
-
-        def index(at, values, v):
-            i = at.setdefault(v.payload, len(values))
-            if i == len(values):
-                values.append(v)
-            elif values[i] != v:
-                raise KeyError(v)  # one payload, two values: a value over another base
-            return i
+        tx = pools["t"]
+        ty, tz = _Listing(pools["u"]), _Listing(pools["v"])
 
         def right_row(cols):
             col = dict(zip(X.elements, (tz[i] for i in cols))).__getitem__
-            return tuple(index(at_z, tz, inst.extend(col, Z, t)) for t in tx)
+            return tuple(tz(inst.extend(col, Z, t)) for t in tx)
 
-        try:
-            k_rows = [
-                (tuple(index(at_y, ty, ext(k, Y, t)) for t in tx),
-                 tuple(index(at_y, ty, c) for c in k.columns))
-                for k in pools["k"]
-            ]
-            h_tables = [tuple(index(at_z, tz, ext(h, Z, s)) for s in ty) for h in pools["h"]]
-            rights = _Memo(right_row)
-            for ext_row, col_row in k_rows:
-                lefts = list(map(_row_reader(ext_row), h_tables))
-                if lefts != list(map(rights.__getitem__, map(_row_reader(col_row), h_tables))):
+        k_rows = [
+            (tuple(ty(ext(k, Y, t)) for t in tx), tuple(map(ty, k.columns)))
+            for k in pools["k"]
+        ]
+        h_tables = [tuple(tz(ext(h, Z, s)) for s in ty) for h in pools["h"]]
+        rights = _Memo(right_row)
+        for ext_row, col_row in k_rows:
+            lefts = list(map(_row_reader(ext_row), h_tables))
+            if lefts != list(map(rights.__getitem__, map(_row_reader(col_row), h_tables))):
+                return False
+        return True
+
+    def composition_by_rows(pools) -> bool:
+        """Functor composition for every (t, f, g).  Row map(f, t) over t in
+        TX, per f; table map(g, s) over every listed s in TY, per g.  Per
+        (f, g) the right row is g's table read at f's row, and the left row
+        map(g . f, t) over t is memoized per composite, whose mapping is g's
+        read at f's."""
+        tx = pools["t"]
+        ty, tz = _Listing(), _Listing()
+        f_rows = [
+            (_row_reader(f.mapping), _row_reader(tuple(ty(fmap(f, t)) for t in tx)))
+            for f in pools["f"]
+        ]
+        g_maps = [g.mapping for g in pools["g"]]
+        g_tables = [tuple(tz(fmap(g, s)) for s in ty) for g in pools["g"]]
+        lefts = _Memo(lambda gf: tuple(tz(inst.map(FinFun(X, Z, gf), t)) for t in tx))
+        for read_map, read_row in f_rows:
+            if list(map(lefts.__getitem__, map(read_map, g_maps))) != list(map(read_row, g_tables)):
+                return False
+        return True
+
+    def naturality_by_tables(pools) -> bool:
+        """c-naturality for every (t, u, f, g).  lax(t, u) is listed once per
+        pair (t, u).  Per (f, g) each listed value is pushed along f x g
+        once, and the results read at the pair row are compared with
+        lax(map(f, t), map(g, u)) over the pairs, read from a table memoized
+        per pair of (TY, TZ) indices."""
+        tx, tu = pools["t"], pools["u"]
+        ty, tz, xy, yz = _Listing(), _Listing(), _Listing(), _Listing()
+        read_pairs = _row_reader(tuple(xy(lax(t, u)) for t in tx for u in tu))
+        f_rows = [(f, tuple(ty(fmap(f, t)) for t in tx)) for f in pools["f"]]
+        g_rows = [(g, tuple(tz(fmap(g, u)) for u in tu)) for g in pools["g"]]
+        laxes = _Memo(lambda ij: yz(inst.lax_c(ty[ij[0]], tz[ij[1]])))
+        for f, f_row in f_rows:
+            for g, g_row in g_rows:
+                fg = pair_fun(f, g)
+                lefts = read_pairs([yz(inst.map(fg, c)) for c in xy])
+                if lefts != tuple(map(laxes.__getitem__, itertools.product(f_row, g_row))):
                     return False
-        except Exception:  # a broken closure: the ordered scan meets it in its own order
-            return False
+        return True
+
+    def c_assoc_by_tables(pools) -> bool:
+        """c-associativity for every (t, u, v).  lax(t, u) and lax(u, v) are
+        listed once per pair; lax(t, w) is memoized per t and listed inner
+        value w, and the row lax(w, v) over v per listed inner value w."""
+        tx, tu, tv = pools["t"], pools["u"], pools["v"]
+        xy, yz, xyz = _Listing(), _Listing(), _Listing()
+        tu_rows = [[xy(lax(t, u)) for u in tu] for t in tx]
+        uv_rows = [tuple(yz(lax(u, v)) for v in tv) for u in tu]
+        rights = _Memo(lambda i: tuple(xyz(inst.lax_c(xy[i], v)) for v in tv))
+        for t, tu_row in zip(tx, tu_rows):
+            lefts = _Memo(lambda j, t=t: xyz(inst.lax_c(t, yz[j])))
+            for i, uv_row in zip(tu_row, uv_rows):
+                if tuple(map(lefts.__getitem__, uv_row)) != rights[i]:
+                    return False
         return True
 
     return (
@@ -821,23 +889,35 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
         ("functor_identity", "t",
          lambda t: inst.map(id_x, t) == t, "t", None),
         ("functor_composition", "tfg",
-         lambda t, f, g: inst.map(g.compose(f), t) == inst.map(g, inst.map(f, t)), "t", None),
+         lambda t, f, g: inst.map(g.compose(f), t) == inst.map(g, inst.map(f, t)), "t",
+         composition_by_rows),
         ("unit_naturality", "xf",
          lambda x, f: inst.map(f, inst.unit(X, x)) == inst.unit(Y, f(x)), "x", None),
-        ("c_naturality", "tufg", c_naturality, "tu", None),
+        ("c_naturality", "tufg",
+         lambda t, u, f, g: inst.map(pair_fun(f, g), lax(t, u)) == lax(fmap(f, t), fmap(g, u)),
+         "tu", naturality_by_tables),
         ("c_symmetry", "tu",
          lambda t, u: inst.map(swap_xy, inst.lax_c(t, u)) == inst.lax_c(u, t), "tu", None),
         ("c_associativity", "tuv",
          lambda t, u, v: inst.lax_c(t, inst.lax_c(u, v)) == inst.lax_c(inst.lax_c(t, u), v),
-         "tuv", None),
+         "tuv", c_assoc_by_tables),
     )
+
+
+def _decides(decision, pools) -> bool:
+    """decision(pools), False when it raises: a broken operation is met by the
+    ordered scan, in its own order."""
+    try:
+        return decision(pools)
+    except Exception:
+        return False
 
 
 def _first_failure(laws: tuple, pools: dict, decide: bool = False) -> Optional[dict]:
     """Run each law over every combination drawn from its variables' pools, in
     order.  With `decide`, a law whose decision holds is not scanned."""
     for law, variables, holds, witness, decision in laws:
-        if decide and decision is not None and decision(pools):
+        if decide and decision is not None and _decides(decision, pools):
             continue
         for args in itertools.product(*(pools[v] for v in variables)):
             if not holds(*args):

@@ -72,6 +72,19 @@ def test_pair_fun_acts_componentwise():
     assert fg(("x1", "y1")) == ("x1", "x0")
 
 
+def test_pair_fun_by_index_arithmetic_is_the_componentwise_function():
+    sets = [FinSet.of(f"S{n}", [f"s{n}_{i}" for i in range(n)]) for n in (1, 2, 3)]
+    funs = [f for a in sets for b in sets for f in enumerate_functions(a, b)]
+    for f in funs:
+        cut = f.dom.arity
+        for g in funs:
+            expected = fun_from_callable(
+                product([f.dom, g.dom]), product([f.cod, g.cod]),
+                lambda e: f(e[:cut]) + g(e[cut:]),
+            )
+            assert pair_fun(f, g) == expected
+
+
 def test_projection_keeps_requested_factors():
     p = projection_fun([X, Y, X], [0, 2])
     assert p(("x0", "y1", "x1")) == ("x0", "x1")

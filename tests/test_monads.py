@@ -206,16 +206,88 @@ class _MisplacedWriter(WriterMonad):
         return out if isinstance(col, Kernel) else self._value(t.base, out.payload)
 
 
+class _MapDroppingWriter(WriterMonad):
+    """Writer monad whose map drops the label along the functions `drops`
+    picks (the laws' sets are named S1, S2 and their products S2xS2 ...)."""
+
+    def __init__(self, monoid, drops):
+        super().__init__(monoid)
+        self.drops = drops
+
+    def map(self, f, t):
+        out = super().map(f, t)
+        if self.drops(f):
+            return self._value(out.base, (self.monoid.label(self.monoid.unit), out.payload[1]))
+        return out
+
+
+# Drops the label along one function, the constant S2 -> S2 onto s2_1.  It is
+# the composite of S2 -> S1 -> S2, whose factors keep the label, so functor
+# composition fails; no law before it maps along that function.
+_BROKEN_COMPOSITE = _MapDroppingWriter(
+    get_monoid("Z2"), lambda f: f.dom.name == f.cod.name == "S2" and f.mapping == (0, 0)
+)
+
+# Drops the label along f x g for the last f and g of the last table at sizes
+# 1, 2 (both constant onto s2_2), so c-naturality fails only at that (f, g).
+_LATE_NATURALITY = _MapDroppingWriter(
+    get_monoid("Z3"), lambda f: f.dom.name == "S2xS2" and f.mapping == (3, 3, 3, 3)
+)
+
+
+class _SkewLaxWriter(WriterMonad):
+    """Writer monad over Z3 whose lax_c writes the label 1, not 2, for the
+    labels 1 and 1.  That product is commutative with the unit 0, so every
+    law before c-associativity holds; c-associativity fails, and only when
+    the middle value's label is not the unit: 1 * (1 * 2) = 1 * 0 = 1, but
+    (1 * 1) * 2 = 1 * 2 = 0."""
+
+    def lax_c(self, t, u):
+        out = super().lax_c(t, u)
+        if t.payload[0] == u.payload[0] == "1":
+            return self._value(out.base, ("1", out.payload[1]))
+        return out
+
+
 @pytest.mark.parametrize(
     "broken,law",
     [(_LeakyWriter(get_monoid("Z2")), "kleisli_assoc"),
      (_MisplacedWriter(get_monoid("Z2")), "kleisli_assoc"),
-     (_LabelDroppingWriter(get_monoid("Z3")), "c_naturality")],
+     (_LabelDroppingWriter(get_monoid("Z3")), "c_naturality"),
+     (_BROKEN_COMPOSITE, "functor_composition"),
+     (_LATE_NATURALITY, "c_naturality"),
+     (_SkewLaxWriter(get_monoid("Z3")), "c_associativity")],
 )
 def test_fast_paths_report_the_unmemoized_witness(broken, law):
     report = check_monad_laws(broken, [1, 2])
     assert report.witness["law"] == law
     assert report.to_json() == oracle_law_report(broken, [1, 2])
+
+
+@pytest.fixture
+def scan_free(monkeypatch):
+    """_law_table with the equation of every law that has a decision replaced
+    by pytest.fail: a check that passes never scanned those laws."""
+    law_table = monads._law_table
+
+    def table(*args):
+        return tuple(
+            (law, variables, holds if decision is None else
+             (lambda *a, law=law: pytest.fail(f"{law} was scanned")), witness, decision)
+            for law, variables, holds, witness, decision in law_table(*args)
+        )
+
+    monkeypatch.setattr(monads, "_law_table", table)
+
+
+@pytest.mark.parametrize("monad_id", DIFFERENTIAL)
+def test_decisions_hold_without_the_scan(scan_free, monad_id):
+    assert check_monad_laws(get_instance(monad_id), [1, 2]).passed
+
+
+@pytest.mark.parametrize("monad_id", ["writer:Z3", "P"])
+def test_decisions_hold_without_the_scan_at_sizes_1_2_3(scan_free, monad_id):
+    assert check_monad_laws(get_instance(monad_id), [1, 2, 3]).passed
 
 
 def test_law_pairs_counts_kernel_pairs_per_table():
