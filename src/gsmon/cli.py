@@ -11,13 +11,14 @@ violation was found, 2 usage or input error, 3 an internal invariant broke
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
 
 from .errors import GsmonError, InvariantViolation
 from .independence import check_ci, check_local_independence
-from .jsonio import dump_json, kernel_from_json, load_json
+from .jsonio import dump_json, kernel_from_json, load_json, write_text
 from .monads import ALL_MONAD_IDS, check_monad_laws, classify, get_instance
 from .monoid import MONOID_LIBRARY, get_monoid, group_pullback_agreement
 from .report import require_mode
@@ -110,8 +111,7 @@ def _emit(doc: dict, fmt: str, out) -> int:
     if fmt == "markdown":
         text = _markdown(doc)
         if out:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            write_text(out, text)
         else:
             sys.stdout.write(text)
     else:
@@ -319,7 +319,7 @@ def _add_common(p, seed, *options):
         p.add_argument(f"--{name}", **OPTIONS[name])
 
 
-def build_parser(seed: int) -> argparse.ArgumentParser:
+def build_parser(seed: "int | None") -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gsmon",
         description="Exact checks for gs-monoidal Kleisli categories of finite-set monads.",
@@ -382,10 +382,20 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process; a --seed left out parses to None."""
+    return build_parser(None)
+
+
 def main(argv=None) -> int:
+    """Run one command line; may be called many times in one process, and
+    reads GSMON_SEED on each call."""
     try:
         seed = default_seed()
-        args = build_parser(seed).parse_args(argv)
+        args = _parser().parse_args(argv)
+        if args.seed is None:
+            args.seed = seed
         return args.handler(args)
     except InvariantViolation as exc:
         print(f"gsmon: internal error: {exc}", file=sys.stderr)

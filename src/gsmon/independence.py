@@ -239,12 +239,24 @@ def _ci_exhaustive(f: Kernel, factors, partition) -> CIResult:
         raise MethodInapplicable(f"exhaustive CI search needs an enumerator ({f.inst.id})")
     inst = f.inst
     blocks, targets = _in_block_order(f, factors, partition)
-    combos = list(budgeted_product(
+    combos = budgeted_product(
         (inst.enumerate_values(b) for b in blocks), inst.id, "factor combinations per column"
-    ))
+    )
+    # Each column takes the first combination, in enumeration order, whose
+    # lax_c fold is its value.  `first` maps each fold computed so far to the
+    # first combination that gave it; the folds are computed once, in order,
+    # and only as far as a scan from the first combination would have gone.
+    first = {}
     found = []
     for x, target in zip(f.dom.elements, targets):
-        combo = next((c for c in combos if functools.reduce(inst.lax_c, c) == target), None)
+        combo = first.get(target)
+        if combo is None:
+            for c in combos:
+                value = functools.reduce(inst.lax_c, c)
+                first.setdefault(value, c)
+                if value == target:
+                    combo = c
+                    break
         if combo is None:
             return CIResult(False, "exhaustive_search", witness={"column": x})
         found.append(combo)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import MalformedInput
+from .errors import GsmonError, MalformedInput
 from .finset import FinSet, elem_from_str, elem_to_str, product
 from .kernels import Kernel
 from .monads import MonadInstance, TValue, get_instance
@@ -125,9 +125,17 @@ def load_json(path: str):
         raise MalformedInput(f"cannot read {path}: {exc}") from None
 
 
+def write_text(path: str, text: str):
+    """Write `text` to `path`; a path that cannot be written is a GsmonError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise GsmonError(f"cannot write {path}: {exc}") from None
+
+
 def dump_json(data, path: str = None) -> str:
     text = json.dumps(data, indent=2, sort_keys=True) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(path, text)
     return text

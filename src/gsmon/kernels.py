@@ -3,13 +3,18 @@
 Kernels are Kleisli morphisms X -> Y stored columnwise (one TValue over the
 codomain per domain element).  Everything downstream -- effects, mass,
 scalar action, normalization, the equivalence solver -- is built from
-`compose`, `tensor` and the structural generators copy / discard / swap.
-Because products of finite sets are strict (see finset), no reindexing
-kernels are ever needed: I x I = I and X x I = X hold on the nose.
+`compose`, `tensor`, the structural generators copy / discard / swap, and
+`pairing`, the copy-then-tensor composite (f_1 (x) ... (x) f_n) . copy.
+`pairing` is built column by column: by the unit law its column at x is
+lax_c folded over f_1(x), ..., f_n(x), the one column of the tensor that
+the copy reads.  Because products of finite sets are strict (see finset),
+no reindexing kernels are ever needed: I x I = I and X x I = X hold on the
+nose.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from typing import Callable, Iterator, Optional, Sequence
@@ -126,20 +131,26 @@ def tensor(f: Kernel, g: Kernel) -> Kernel:
     return from_columns(inst, dom, cod, lambda e: inst.lax_c(f(e[:cut]), g(e[cut:])))
 
 
-def tensor_all(kernels: Sequence[Kernel]) -> Kernel:
-    result = kernels[0]
-    for k in kernels[1:]:
-        result = tensor(result, k)
-    return result
-
-
 def pairing(*kernels: Kernel) -> Kernel:
     """The copy-then-tensor product (f_1, ..., f_n) : X -> Y_1 (x) ... (x) Y_n
-    of same-domain kernels."""
-    dom = kernels[0].dom
+    of same-domain kernels, that is (f_1 (x) ... (x) f_n) . copy.
+
+    It is built column by column.  The n-fold copy sends x to the unit at
+    (x, ..., x), and extending a kernel along a unit reads its column there
+    (the unit law), so column x of the composite is the tensor's column at
+    (x, ..., x): lax_c folded left over f_1(x), ..., f_n(x).  The other
+    |X|^n - 1 columns of the tensor are never read, so they are not built.
+    The codomain is folded in the same order, so its name is the tensor's."""
+    first = kernels[0]
+    inst, dom = first.inst, first.dom
     if any(k.dom != dom for k in kernels):
         raise TypeMismatch("pairing requires a common domain")
-    return compose(tensor_all(kernels), copy_k(kernels[0].inst, dom, len(kernels)))
+    for k in kernels[1:]:
+        if k.inst.id != inst.id:
+            raise TypeMismatch(f"instance mismatch: {inst.id} vs {k.inst.id}")
+    cod = functools.reduce(lambda acc, c: product([acc, c]), (k.cod for k in kernels))
+    columns = zip(*(k.columns for k in kernels))
+    return Kernel(inst, dom, cod, (functools.reduce(inst.lax_c, col) for col in columns))
 
 
 def is_copyable(f: Kernel) -> bool:

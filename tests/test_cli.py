@@ -454,3 +454,59 @@ def test_negative_seed_is_accepted(capsys):
 def test_seed_env_non_ascii_or_padded_exits_2(monkeypatch, raw):
     monkeypatch.setenv("GSMON_SEED", raw)
     assert main(["classify", "--monad", "Id"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# One parser per process: what is read on every call, and what is shared
+
+
+def test_seed_env_is_read_on_every_call(monkeypatch, capsys):
+    argv = ("check", "laws", "--monad", "Id", "--sizes", "1", "--mode", "random", "--trials", "1")
+    for raw in ("5", "7"):
+        monkeypatch.setenv("GSMON_SEED", raw)
+        code, doc = run_json(capsys, *argv)
+        assert code == 0
+        assert doc["config"]["seed"] == int(raw)
+    monkeypatch.delenv("GSMON_SEED")
+    assert run_json(capsys, *argv)[1]["config"]["seed"] == 42
+
+
+def test_seed_env_invalid_exits_2_even_with_a_seed_flag(monkeypatch, capsys):
+    monkeypatch.setenv("GSMON_SEED", "abc")
+    assert main(["classify", "--monad", "Id", "--seed", "3"]) == 2
+    assert "GSMON_SEED must be an integer" in capsys.readouterr().err
+
+
+def test_golden_runs_repeat_byte_for_byte_in_one_process():
+    from test_golden import RUNS, run_cli
+
+    names = sorted(RUNS)
+    first = {name: run_cli(RUNS[name]) for name in names}
+    again = {name: run_cli(RUNS[name]) for name in reversed(names)}
+    assert again == first
+
+
+def test_build_parser_keeps_its_seed_default():
+    from gsmon.cli import build_parser
+
+    assert build_parser(0).parse_args(["classify", "--monad", "Id"]).seed == 0
+    assert build_parser(0).parse_args(["check", "prop21", "--seed", "4"]).seed == 4
+
+
+# ---------------------------------------------------------------------------
+# An --out that cannot be written is an input error, not a violation
+
+
+@pytest.mark.parametrize("fmt", ["json", "markdown"])
+def test_unwritable_out_exits_2(tmp_path, capsys, fmt):
+    path = str(tmp_path / "f.json")
+    dump_json(KERNEL_CI, path)
+    for argv in (
+        ["check", "ci", "--kernel", path, "--partition", "X|Y"],
+        ["report", "--inputs"],
+    ):
+        code = main(argv + ["--format", fmt, "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"gsmon: error: cannot write {tmp_path}: ")

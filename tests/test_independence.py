@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -6,6 +7,9 @@ import pytest
 from gsmon.errors import InvalidBlock, MethodInapplicable, TypeMismatch
 from gsmon.finset import FinSet, product
 from gsmon.independence import (
+    CIResult,
+    _ci_exhaustive,
+    _in_block_order,
     check_ci,
     check_ci_n2_equation,
     check_local_independence,
@@ -14,7 +18,7 @@ from gsmon.independence import (
     product_of_marginals,
 )
 from gsmon.kernels import Kernel, enumerate_kernels, sample_kernel, scalar_action
-from gsmon.monads import get_instance
+from gsmon.monads import budgeted_product, get_instance
 
 A = FinSet.of("A", ["a0"])
 A2 = FinSet.of("A", ["a0", "a1"])
@@ -223,3 +227,105 @@ def test_auto_picks_exhaustive_search_for_the_powerset():
     result = check_ci(f, [X, Y], [[0], [1]])
     assert (result.holds, result.method) == (False, "exhaustive_search")
     assert result.witness == {"column": ("a0",)}
+
+
+# ---------------------------------------------------------------------------
+# The indexed factor search against the scan it replaced
+
+
+def scan_exhaustive(f, factors, partition):
+    """The oracle: scan every factor combination, from the first, for every
+    column."""
+    inst = f.inst
+    blocks, targets = _in_block_order(f, factors, partition)
+    combos = list(budgeted_product(
+        (inst.enumerate_values(b) for b in blocks), inst.id, "factor combinations per column"
+    ))
+    found = []
+    for x, target in zip(f.dom.elements, targets):
+        combo = next((c for c in combos if functools.reduce(inst.lax_c, c) == target), None)
+        if combo is None:
+            return CIResult(False, "exhaustive_search", witness={"column": x})
+        found.append(combo)
+    cert = [
+        Kernel(inst, f.dom, block, [combo[k] for combo in found])
+        for k, block in enumerate(blocks)
+    ]
+    return CIResult(True, "exhaustive_search", certificate=cert)
+
+
+PARTITIONS = {
+    2: [[[0], [1]], [[1], [0]]],
+    3: [[[0], [1], [2]], [[0, 1], [2]], [[0], [1, 2]], [[0, 2], [1]]],
+}
+
+
+def assert_index_matches_scan(inst, factors):
+    """Every state over the product of `factors`, alone and paired with
+    another, decided by the indexed search and by the scan."""
+    cod = product(list(factors))
+    states = list(inst.enumerate_values(cod))
+    columns = [[s] for s in states] + [[s, t] for s, t in zip(reversed(states), states)]
+    for cols in columns:
+        f = Kernel(inst, A if len(cols) == 1 else A2, cod, cols)
+        for partition in PARTITIONS[len(factors)]:
+            got = _ci_exhaustive(f, factors, partition).to_json()
+            assert got == scan_exhaustive(f, factors, partition).to_json()
+
+
+@pytest.mark.parametrize(
+    "monad_id, factors",
+    [pytest.param(m, (X, Y), id=f"{m}-2,2")
+     for m in ("P", "P*", "Id", "writer:Z2", "writer:AND", "F(B=1)")]
+    + [pytest.param(m, (X, Y, Z), id=f"{m}-2,2,2") for m in ("P", "writer:Z2")],
+)
+def test_indexed_factor_search_matches_the_scan(monad_id, factors):
+    assert_index_matches_scan(get_instance(monad_id), factors)
+
+
+def counting_lax_c(inst, fail_at=None):
+    """Replace inst.lax_c by a counting copy that raises on call `fail_at`."""
+    calls = []
+
+    def lax_c(t, u):
+        calls.append(1)
+        if len(calls) == fail_at:
+            raise RuntimeError("lax_c failed")
+        return type(inst).lax_c(inst, t, u)
+
+    inst.lax_c = lax_c
+    return calls
+
+
+def test_a_fold_that_raises_leaves_no_stale_index():
+    # The search after the failed one must not start from a part-grown index.
+    cod = product([X, Y])
+    target = [("x1", "y1")]  # only {x1} x {y1} folds to it
+    probe = get_instance("P")
+    needed = counting_lax_c(probe)
+    _ci_exhaustive(Kernel(probe, A, cod, [probe.make(cod, target)]), [X, Y], [[0], [1]])
+
+    inst = get_instance("P")
+    f = Kernel(inst, A, cod, [inst.make(cod, target)])
+    counting_lax_c(inst, fail_at=len(needed))  # raise on the target's own combination
+    with pytest.raises(RuntimeError):
+        _ci_exhaustive(f, [X, Y], [[0], [1]])
+    del inst.lax_c
+    result = _ci_exhaustive(f, [X, Y], [[0], [1]])
+    assert result.holds
+    assert result.to_json() == scan_exhaustive(f, [X, Y], [[0], [1]]).to_json()
+
+
+def test_the_index_computes_fewer_folds_than_the_scan():
+    inst, oracle = get_instance("writer:Z2"), get_instance("writer:Z2")
+    cod = product([X, Y])
+    states = list(inst.enumerate_values(cod))
+    dom = FinSet.of("A", [f"a{i}" for i in range(2 * len(states))])
+    columns = states + states[::-1]
+    indexed, scanned = counting_lax_c(inst), counting_lax_c(oracle)
+    got = _ci_exhaustive(Kernel(inst, dom, cod, columns), [X, Y], [[0], [1]])
+    want = scan_exhaustive(Kernel(oracle, dom, cod, columns), [X, Y], [[0], [1]])
+    assert got.to_json() == want.to_json()
+    # Two blocks: one lax_c per combination, and no combination folded twice.
+    combinations = len(list(inst.enumerate_values(X))) * len(list(inst.enumerate_values(Y)))
+    assert 0 < len(indexed) <= combinations < len(scanned)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -163,6 +164,54 @@ def test_ternary_pairing_equals_nested_binary_pairings():
     rng = random.Random(3)
     f, g, h = (sample_kernel(M, X, cod, rng) for cod in (Y, X, Y))
     assert pairing(f, g, h) == pairing(pairing(f, g), h) == pairing(f, pairing(g, h))
+
+
+def tensor_then_copy(kernels):
+    """The oracle: the pairing as (f_1 (x) ... (x) f_n) . copy, building the
+    whole |X|^n-column tensor first."""
+    dom = kernels[0].dom
+    if any(k.dom != dom for k in kernels):
+        raise TypeMismatch("pairing requires a common domain")
+    result = kernels[0]
+    for k in kernels[1:]:
+        result = tensor(result, k)
+    return compose(result, copy_k(kernels[0].inst, dom, len(kernels)))
+
+
+def kernel_pool(inst, dom, cod, rng, cap=16):
+    """Every kernel dom -> cod when there are at most `cap`, else `cap`
+    seeded samples (always for M, M* and D, which have no enumerator)."""
+    if inst.enumerable and sum(1 for _ in inst.enumerate_values(cod)) ** len(dom) <= cap:
+        return list(enumerate_kernels(inst, dom, cod))
+    return [sample_kernel(inst, dom, cod, rng) for _ in range(cap)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("monad_id", ALL_MONAD_IDS + ["writer:Z2xZ2", "F(B=2)"])
+def test_columnwise_pairing_equals_tensor_then_copy(monad_id, n):
+    inst = get_instance(monad_id)
+    rng = random.Random(f"{monad_id}/{n}")
+    for dom in (A, X):
+        pools = [kernel_pool(inst, dom, cod, rng) for cod in (Y, A, X)[:n]]
+        tuples = list(itertools.product(*pools))
+        for ks in rng.sample(tuples, min(len(tuples), 60)):
+            got, want = pairing(*ks), tensor_then_copy(ks)
+            assert got == want
+            assert got.cod.name == want.cod.name
+
+
+def test_pairing_refuses_what_tensor_then_copy_refused():
+    p, p_star = get_instance("P"), get_instance("P*")
+    cases = [
+        ((identity(p, X), identity(p, Y)), "pairing requires a common domain"),
+        ((identity(p, X), identity(p_star, X)), r"instance mismatch: P vs P\*"),
+        ((identity(p, X), identity(p_star, Y)), "pairing requires a common domain"),
+        ((identity(p, X), identity(p, X), identity(p_star, X)), r"instance mismatch: P vs P\*"),
+    ]
+    for kernels, message in cases:
+        for build in (pairing, lambda *ks: tensor_then_copy(ks)):
+            with pytest.raises(TypeMismatch, match=message):
+                build(*kernels)
 
 
 def test_copy_k_degenerates_to_discard():
