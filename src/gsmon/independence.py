@@ -12,9 +12,7 @@ enumerable instances.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
@@ -66,10 +64,7 @@ def _reorder(k: Kernel, factors: Sequence[FinSet], partition: Partition) -> Kern
 
 
 def product_of_factors(
-    f: Kernel,
-    factors: Sequence[FinSet],
-    factor_kernels: Sequence[Kernel],
-    partition: Partition,
+    factors: Sequence[FinSet], factor_kernels: Sequence[Kernel], partition: Partition
 ) -> Kernel:
     """Assemble copy;(g_1 (x) ... (x) g_n) and reorder to coordinate order."""
     return _reorder(pairing(*factor_kernels), factors, partition)
@@ -82,7 +77,7 @@ def product_of_marginals(
     _check_factors(f, factors)
     _check_partition(partition, len(factors))
     margs = [marginal(f, factors, block) for block in partition]
-    return product_of_factors(f, factors, margs, partition)
+    return product_of_factors(factors, margs, partition)
 
 
 @dataclass
@@ -108,7 +103,7 @@ class CIResult:
 def _verify_certificate(f: Kernel, factors, result: CIResult, partition: Partition):
     if not result.holds or not result.certificate:
         return
-    rebuilt = product_of_factors(f, factors, result.certificate, partition)
+    rebuilt = product_of_factors(factors, result.certificate, partition)
     if rebuilt != f:
         raise InvariantViolation("CI certificate does not reproduce the kernel")
 
@@ -152,7 +147,7 @@ def _ci_equivalence(f: Kernel, factors, partition) -> CIResult:
             f"equivalence method requires a weakly Markov instance, not {f.inst.id}"
         )
     margs = [marginal(f, factors, block) for block in partition]
-    p = product_of_factors(f, factors, margs, partition)
+    p = product_of_factors(factors, margs, partition)
     a = equivalent(p, f)
     if a is None:
         return CIResult(False, "equivalence", witness="not a scalar multiple of the product of marginals")
@@ -172,65 +167,30 @@ def _in_block_order(f: Kernel, factors, partition) -> tuple:
 def _ci_rank1(f: Kernel, factors, partition) -> CIResult:
     """Exact outer-product test, columnwise.
 
-    A nonnegative table t over blocks of sizes s_1..s_n is an outer product
-    iff it is zero, or for the first nonzero pivot index i*,
-    t[j] * t[i*]^(n-1) equals the product over k of t[i* with slot k := j_k].
-    The pivot slices then give exact factor vectors.
+    A nonnegative table over blocks of sizes s_1..s_n is an outer product
+    iff it is zero, or the rank-one identity holds at its first non-zero
+    index (`Table.outer_factors`); the slices through that index then give
+    exact factor vectors.
     """
     if not f.inst.measure_like:
         raise MethodInapplicable(f"rank1 method needs a measure-like payload, not {f.inst.id}")
     inst = f.inst
     blocks, columns = _in_block_order(f, factors, partition)
-    n = len(blocks)
     sizes = [len(b) for b in blocks]
-    # The blocks-ordered table lists its indices lexicographically.
-    table_order = list(itertools.product(*(range(s) for s in sizes)))
-    factor_columns = [[] for _ in range(n)]
+    factor_columns = [[] for _ in blocks]
     for col in columns:
-        t = dict(zip(table_order, col.payload))
-        pivot = next((j for j in table_order if t[j] != 0), None)
-        if pivot is None:
-            # Zero column: CI holds; use the zero measure as first factor.
-            if not inst.has_zero:  # unreachable: validation rejects the zero table
-                raise InvariantViolation(f"zero column in {inst.id}")
-            vecs = [[Fraction(0)] * sizes[0]]
-            for k in range(1, n):
-                vecs.append([Fraction(1 if i == 0 else 0) for i in range(sizes[k])])
-        else:
-            s = t[pivot]
-            for j in table_order:
-                prod = Fraction(1)
-                for k in range(n):
-                    swapped = pivot[:k] + (j[k],) + pivot[k + 1:]
-                    prod *= t[swapped]
-                if t[j] * s ** (n - 1) != prod:
-                    return CIResult(
-                        False,
-                        "rank1",
-                        witness={
-                            "column": "outer-product identity fails",
-                            "index": [blocks[k].elements[j[k]] for k in range(n)],
-                        },
-                    )
-            vecs = []
-            for k in range(n):
-                slice_k = [
-                    t[pivot[:k] + (i,) + pivot[k + 1:]] for i in range(sizes[k])
-                ]
-                vecs.append(slice_k)
-            if classification_of(inst).kind == "affine":
-                # Every value has mass one, so the factors must too; each
-                # pivot slice is proportional to the true factor, so renormalize.
-                vecs = [[v / sum(vec) for v in vec] for vec in vecs]
-            else:
-                # Rescale the first factor so the product reproduces t exactly.
-                scale = s ** (n - 1)
-                vecs[0] = [v / scale for v in vecs[0]]
-        for k in range(n):
-            factor_columns[k].append(inst.make(blocks[k], tuple(vecs[k])))
-    cert = [
-        Kernel(inst, f.dom, blocks[k], factor_columns[k]) for k in range(n)
-    ]
+        tables, failure = col.payload.outer_factors(sizes)
+        if failure is not None:
+            index = [b.elements[i] for b, i in zip(blocks, failure)]
+            witness = {"column": "outer-product identity fails", "index": index}
+            return CIResult(False, "rank1", witness=witness)
+        if classification_of(inst).kind == "affine":
+            # Every value has mass one, so the factors must too; each
+            # factor is proportional to the true factor, so renormalize.
+            tables = [t.normalized() for t in tables]
+        for column, block, table in zip(factor_columns, blocks, tables):
+            column.append(inst.make(block, table))
+    cert = [Kernel(inst, f.dom, b, column) for b, column in zip(blocks, factor_columns)]
     return CIResult(True, "rank1", certificate=cert)
 
 

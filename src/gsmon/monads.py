@@ -73,6 +73,11 @@ class MonadInstance:
     has_zero: bool = False  # admits an absorbing zero element of TX
     measure_like: bool = False
 
+    @property
+    def key(self):
+        """What defines the instance: its id (a writer monad adds its monoid)."""
+        return self.id
+
     # -- construction ------------------------------------------------------
 
     def make(self, base: FinSet, payload) -> TValue:
@@ -164,9 +169,9 @@ class _TableMonad(MonadInstance):
 
     Payload: a `Table`, the entries aligned with the base order as integer
     numerators over one denominator in canonical form (F's over 1).  Only
-    this class and `rational` read numerators and denominators.
-    Subclasses give the scalar's JSON form, the checks of `_check_table`
-    and their own sampling.
+    the table monads and `rational` read numerators and denominators; other
+    modules compute through `Table` methods.  Subclasses give the scalar's
+    JSON form, the checks of `_check_table` and their own sampling.
 
     The closed operations build their results unchecked (`_value`):
     products and sums of non-negative tables stay non-negative; a non-zero
@@ -192,7 +197,7 @@ class _TableMonad(MonadInstance):
             return Table.of_entries(payload)
         except TypeError:
             raise PayloadInvalid(
-                f"{self.id}: entries must be integers or fractions, got {payload!r}"
+                f"{self.id}: entries must be integers or exact rationals, got {payload!r}"
             ) from None
 
     def _check_table(self, table: Table) -> None:
@@ -275,8 +280,9 @@ class _MeasureBase(_TableMonad):
         return self.make(base, Table.of_ratios(_sampled_ratios(base, rng)))
 
     def t1_inverse(self, t: TValue) -> Optional[TValue]:
-        v = t.payload[0]
-        return None if v == 0 else self.make(UNIT, (1 / v,))
+        if t.payload.pivot() is None:
+            return None
+        return self.make(UNIT, Table((1,)).over((0,), t.payload, 0))
 
 
 class MeasureMonad(_MeasureBase):
@@ -344,9 +350,8 @@ class DistributionMonad(_MeasureBase):
     def sample(self, base: FinSet, rng: random.Random) -> TValue:
         while True:
             raw = Table.of_ratios(_sampled_ratios(base, rng))
-            total = sum(raw.nums)
-            if total != 0:  # raw / (total / raw.den)
-                return self.make(base, Table.reduced(raw.nums, total))
+            if raw.pivot() is not None:
+                return self.make(base, raw.normalized())
 
     def solver_classification(self, trials: int, rng: random.Random) -> "Classification":
         one = self.unit(UNIT, ())
@@ -489,6 +494,10 @@ class WriterMonad(MonadInstance):
             for i, a in enumerate(labels)
             for j, b in enumerate(labels)
         }
+
+    @property
+    def key(self):
+        return self.id, self.monoid
 
     def validate(self, base: FinSet, payload):
         a, x = payload
@@ -652,10 +661,8 @@ _classify_cache: dict = {}
 
 
 def classification_of(inst: MonadInstance) -> Classification:
-    """Memoized classify() with default evidence parameters."""
-    if inst.id not in _classify_cache:
-        _classify_cache[inst.id] = classify(inst)
-    return _classify_cache[inst.id]
+    """classify() with default evidence parameters, memoized by `inst.key`."""
+    return _once(_classify_cache, inst.key, classify, inst)
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,26 @@
 """Exact rational scalars and tables.
 
-A scalar is a plain ``fractions.Fraction`` (canonical: positive denominator,
-gcd-reduced).  This module adds the text format used in JSON payloads:
-``"p/q"``, or ``"p"`` when the denominator is 1, with an optional leading
-``-``.
+A scalar read out of a table is a plain ``fractions.Fraction`` (canonical:
+positive denominator, gcd-reduced).  This module adds the text format used
+in JSON payloads: ``"p/q"``, or ``"p"`` when the denominator is 1, with an
+optional leading ``-``.
 
 A table of scalars -- the payload of the measure and free-abelian monads --
 is a `Table`: a tuple of integer numerators over one positive denominator,
 in canonical form gcd(den, *nums) = 1, so that the zero table is stored over
 1 and an integer table (every value of F) over 1.  Two tables are equal
 exactly when their entries are, and then have equal hashes.  Arithmetic on
-tables is integer arithmetic with one gcd per table; readers outside the
-monads get exact ``Fraction`` entries by iterating or indexing a table.
+tables, the scalar interface of `Table` included, is integer arithmetic
+with one gcd per table; only the text and JSON forms of a value read exact
+``Fraction`` entries, by iterating or indexing a table.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import MalformedInput
 
@@ -85,10 +87,48 @@ class Table:
         den = lcm(*(d for _, d in ratios))
         return cls.reduced([n * (den // d) for n, d in ratios], den)
 
-    def scaled(self, factor: Fraction) -> "Table":
-        """Every entry times `factor`."""
-        p, q = factor.numerator, factor.denominator
+    def scaled(self, p: int, q: int) -> "Table":
+        """Every entry times p / q, for ints p and q != 0, in canonical form
+        (also when this table is not)."""
+        if q < 0:
+            p, q = -p, -q
         return Table.reduced([n * p for n in self.nums], self.den * q)
+
+    def pivot(self):
+        """The index of the first non-zero entry, or None for the zero table."""
+        return next((i for i, n in enumerate(self.nums) if n), None)
+
+    def over(self, indices, pivot: "Table", i: int) -> "Table":
+        """The entries at `indices`, divided by entry i of `pivot` (non-zero)."""
+        nums = self.nums
+        return Table([nums[j] for j in indices], self.den).scaled(pivot.den, pivot.nums[i])
+
+    def normalized(self) -> "Table":
+        """Every entry divided by the sum of the entries (non-zero)."""
+        return Table(self.nums).scaled(1, sum(self.nums))
+
+    def outer_factors(self, sizes) -> tuple:
+        """Factor this table, over a lexicographic product of sets of `sizes`,
+        as an outer product: (factors, None), or (None, j) for the first index
+        j where t[j] * t[p]^(n-1) != prod_k t[p with slot k := j_k], p the
+        pivot (over one denominator the numerators obey the same identity).
+        The zero table gives zero and unit vectors e_0; any other, the slices
+        through p, the first divided by t[p]^(n-1)."""
+        p = self.pivot()
+        if p is None:
+            return [Table((0,) * sizes[0])] + [Table((1,) + (0,) * (s - 1)) for s in sizes[1:]], None
+        nums, den, n = self.nums, self.den, len(sizes)
+        strides = [prod(sizes[k + 1:]) for k in range(n)]
+        slices = [
+            [nums[p + (i - p // stride % size) * stride] for i in range(size)]
+            for size, stride in zip(sizes, strides)
+        ]
+        lead = nums[p] ** (n - 1)
+        for flat, entries in enumerate(itertools.product(*slices)):
+            if nums[flat] * lead != prod(entries):
+                return None, tuple(flat // stride % size for size, stride in zip(sizes, strides))
+        first = Table(slices[0], den).scaled(den ** (n - 1), lead)
+        return [first] + [Table.reduced(s, den) for s in slices[1:]], None
 
     def __len__(self) -> int:
         return len(self.nums)

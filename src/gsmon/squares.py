@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -210,12 +209,12 @@ def check_pullback(
 # Square builders
 
 
-def _scale(inst, t: TValue, factor: Fraction) -> TValue:
-    return inst.make(t.base, t.payload.scaled(factor))
+def _scale(inst, t: TValue, p: int, q: int) -> TValue:
+    return inst.make(t.base, t.payload.scaled(p, q))
 
 
-def _nonzero_scalar(rng) -> Fraction:
-    return Fraction(rng.randint(1, SAMPLE_NUM_MAX), rng.randint(1, SAMPLE_DEN_MAX))
+def _nonzero_scalar(rng) -> tuple:
+    return rng.randint(1, SAMPLE_NUM_MAX), rng.randint(1, SAMPLE_DEN_MAX)
 
 
 def assoc_square(inst: MonadInstance, x: FinSet, y: FinSet, z: FinSet) -> Square:
@@ -235,17 +234,16 @@ def assoc_square(inst: MonadInstance, x: FinSet, y: FinSet, z: FinSet) -> Square
             # measure while their non-zero halves cannot share a factor.
             p = c(inst.sample(y, rng), inst.sample(z, rng))
             q = c(inst.sample(x, rng), inst.sample(y, rng))
-            if any(vv != 0 for vv in p.payload) and any(vv != 0 for vv in q.payload):
+            if p != inst.zero(p.base) and q != inst.zero(q.base):
                 return (inst.zero(x), p), (q, inst.zero(z))
         tx, ty, tz = inst.sample(x, rng), inst.sample(y, rng), inst.sample(z, rng)
         u = top((tx, ty, tz))
         v = left((tx, ty, tz))
         if inst.measure_like:
-            lam = _nonzero_scalar(rng)
-            mu = _nonzero_scalar(rng)
+            (p1, q1), (p2, q2) = _nonzero_scalar(rng), _nonzero_scalar(rng)
             try:
-                u = (_scale(inst, u[0], lam), _scale(inst, u[1], 1 / lam))
-                v = (_scale(inst, v[0], mu), _scale(inst, v[1], 1 / mu))
+                u = (_scale(inst, u[0], p1, q1), _scale(inst, u[1], q1, p1))
+                v = (_scale(inst, v[0], p2, q2), _scale(inst, v[1], q2, p2))
             except PayloadInvalid:
                 u = top((tx, ty, tz))
                 v = left((tx, ty, tz))
@@ -260,27 +258,18 @@ def assoc_square(inst: MonadInstance, x: FinSet, y: FinSet, z: FinSet) -> Square
         """
         t_x, t_yz = u
         t_xy, t_z = v
-        by_vals = None
-        z0 = next((i for i, vv in enumerate(t_z.payload) if vv != 0), None)
+        # Products list their elements lexicographically: the Y slice of
+        # YxZ at z0 or of XxY at x0, over that pivot entry.
+        z0, x0 = t_z.payload.pivot(), t_x.payload.pivot()
         if z0 is not None:
-            zc = t_z.payload[z0]
-            z_elem = z.elements[z0]
-            by_vals = tuple(
-                t_yz.payload[yz.index(ye + z_elem)] / zc for ye in y.elements
-            )
+            by_table = t_yz.payload.over(range(z0, len(yz), len(z)), t_z.payload, z0)
+        elif x0 is not None:
+            by_table = t_xy.payload.over(range(x0 * len(y), (x0 + 1) * len(y)), t_x.payload, x0)
         else:
-            x0 = next((i for i, vv in enumerate(t_x.payload) if vv != 0), None)
-            if x0 is None:
-                # t_x = 0 and t_z = 0: any Y value mediates, so the
-                # mediator is not unique (or none exists); report failure.
-                return None
-            xc = t_x.payload[x0]
-            x_elem = x.elements[x0]
-            by_vals = tuple(
-                t_xy.payload[xy.index(x_elem + ye)] / xc for ye in y.elements
-            )
+            # t_x = t_z = 0: every Y value mediates or none does; report failure.
+            return None
         try:
-            by = inst.make(y, by_vals)
+            by = inst.make(y, by_table)
         except PayloadInvalid:
             return None
         t = (t_x, by, t_z)

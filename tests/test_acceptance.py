@@ -214,10 +214,9 @@ def test_criterion_7_localised_independence():
     for monad_id, count in (("M*", 500), ("writer:Z3", 500)):
         inst = get_instance(monad_id)
         rng = random.Random(42)
-        template = Kernel(inst, A1, cod, [inst.sample(cod, rng)])
         for _ in range(count):
             gs = [sample_kernel(inst, A1, s, rng) for s in factors]
-            f = product_of_factors(template, factors, gs, [[0], [1], [2]])
+            f = product_of_factors(factors, gs, [[0], [1], [2]])
             r = check_local_independence(f, factors)
             ok = ok and r.passed and r.note == "premises hold"
             if not ok:

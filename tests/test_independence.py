@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 from fractions import Fraction
@@ -18,7 +19,8 @@ from gsmon.independence import (
     product_of_marginals,
 )
 from gsmon.kernels import Kernel, enumerate_kernels, sample_kernel, scalar_action
-from gsmon.monads import budgeted_product, get_instance
+from gsmon.monads import WriterMonad, budgeted_product, classification_of, get_instance
+from gsmon.monoid import get_monoid
 
 A = FinSet.of("A", ["a0"])
 A2 = FinSet.of("A", ["a0", "a1"])
@@ -72,12 +74,7 @@ def test_outer_product_kernel_is_ci():
     for inst in (MSTAR, get_instance("D")):
         gx = sample_kernel(inst, A2, X, rng)
         gy = sample_kernel(inst, A2, Y, rng)
-        f = product_of_factors(
-            Kernel(inst, A2, cod, [inst.sample(cod, rng) for _ in A2]),
-            [X, Y],
-            [gx, gy],
-            [[0], [1]],
-        )
+        f = product_of_factors([X, Y], [gx, gy], [[0], [1]])
         for method in ("equivalence", "rank1"):
             result = check_ci(f, [X, Y], [[0], [1]], method=method)
             assert result.holds, (inst.id, method, result.witness)
@@ -98,9 +95,7 @@ def test_zero_kernel_is_ci_in_measures():
         result = check_ci(f, factors, [[i] for i in range(len(factors))])
         assert result.holds
         # certificate must rebuild the kernel exactly (checked internally too)
-        rebuilt = product_of_factors(
-            f, factors, result.certificate, [[i] for i in range(len(factors))]
-        )
+        rebuilt = product_of_factors(factors, result.certificate, [[i] for i in range(len(factors))])
         assert rebuilt == f
 
 
@@ -109,12 +104,7 @@ def test_noncontiguous_partition_reorders_correctly():
     gxz = sample_kernel(MSTAR, A, product([X, Z]), rng)
     gy = sample_kernel(MSTAR, A, Y, rng)
     # assemble with blocks ((X,Z), Y): coordinates must come back as X,Y,Z
-    f = product_of_factors(
-        Kernel(MSTAR, A, product([X, Y, Z]), [MSTAR.sample(product([X, Y, Z]), rng)]),
-        [X, Y, Z],
-        [gxz, gy],
-        [[0, 2], [1]],
-    )
+    f = product_of_factors([X, Y, Z], [gxz, gy], [[0, 2], [1]])
     table = f(("a0",))
     for xe, ye, ze in ((0, 0, 1), (1, 1, 0)):
         got = table.payload[f.cod.index((f"x{xe}", f"y{ye}", f"z{ze}"))]
@@ -131,12 +121,7 @@ def test_product_of_marginals_of_ci_kernel_is_equivalent():
     rng = random.Random(21)
     gx = sample_kernel(MSTAR, A, X, rng)
     gy = sample_kernel(MSTAR, A, Y, rng)
-    f = product_of_factors(
-        Kernel(MSTAR, A, product([X, Y]), [MSTAR.sample(product([X, Y]), rng)]),
-        [X, Y],
-        [gx, gy],
-        [[0], [1]],
-    )
+    f = product_of_factors([X, Y], [gx, gy], [[0], [1]])
     result = check_ci(f, [X, Y], [[0], [1]], method="equivalence")
     assert result.holds
     assert result.scalar is not None
@@ -188,13 +173,28 @@ def test_method_applicability():
 def test_local_independence_constructive():
     rng = random.Random(33)
     factors = [X, Y, Z]
-    cod = product(factors)
-    template = Kernel(MSTAR, A, cod, [MSTAR.sample(cod, rng)])
     gs = [sample_kernel(MSTAR, A, s, rng) for s in factors]
-    f = product_of_factors(template, factors, gs, [[0], [1], [2]])
+    f = product_of_factors(factors, gs, [[0], [1], [2]])
     report = check_local_independence(f, factors)
     assert report.passed
     assert report.note == "premises hold"
+
+
+def test_classification_is_kept_per_writer_monoid():
+    # Two writer monads named alike: over a group (Z2) and over AND, which
+    # is not a group.  Each keeps its own verdict, so check_ci picks the
+    # exhaustive search for the second instead of the equivalence method.
+    over_z2 = WriterMonad(dataclasses.replace(get_monoid("Z2"), name="M2"))
+    over_and = WriterMonad(dataclasses.replace(get_monoid("AND"), name="M2"))
+    assert over_z2.id == over_and.id == "writer:M2"
+    assert classification_of(over_z2).kind == "weakly_affine_not_affine"
+    assert classification_of(over_and).kind == "not_weakly_affine"
+    cod = product([X, Y])
+    f = Kernel(over_and, A, cod, [over_and.make(cod, ("0", ("x0", "y0")))])
+    assert check_ci(f, [X, Y], [[0], [1]]).method == "exhaustive_search"
+    # The key is equal across instances resolved from one id, so a verdict
+    # found once serves every later instance.
+    assert get_instance("writer:Z2").key == get_instance("writer:Z2").key
 
 
 def test_local_independence_vacuous_case():
