@@ -37,10 +37,6 @@ class OutOfBound(GsmonError):
     """A decoded free-abelian-group value has a multiplicity over its bound."""
 
 
-class UndecidableWithoutSolver(GsmonError):
-    pass
-
-
 class NotNormalizable(GsmonError):
     def __init__(self, message, witness=None):
         super().__init__(message)

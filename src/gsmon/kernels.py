@@ -63,14 +63,14 @@ class Kernel:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Kernel)
-            and self.inst.id == other.inst.id
+            and self.inst.key == other.inst.key
             and self.dom == other.dom
             and self.cod == other.cod
             and self.columns == other.columns
         )
 
     def __hash__(self) -> int:
-        return hash((self.inst.id, self.dom, self.cod, self.columns))
+        return hash((self.inst.key, self.dom, self.cod, self.columns))
 
     def describe(self) -> str:
         cols = ", ".join(
@@ -81,6 +81,13 @@ class Kernel:
 
     def __repr__(self) -> str:
         return self.describe()
+
+
+def _same_instance(a: MonadInstance, b: MonadInstance) -> None:
+    """TypeMismatch unless `a` and `b` have one key; equal ids show the keys."""
+    if a.key != b.key:
+        names = (a.id, b.id) if a.id != b.id else (a.key, b.key)
+        raise TypeMismatch("instance mismatch: {} vs {}".format(*names))
 
 
 def from_columns(inst, dom: FinSet, cod: FinSet, col: Callable[[Elem], TValue]) -> Kernel:
@@ -112,8 +119,7 @@ def swap_k(inst: MonadInstance, x: FinSet, y: FinSet) -> Kernel:
 
 def compose(g: Kernel, f: Kernel) -> Kernel:
     """g after f; for measure monads this is matrix composition."""
-    if f.inst.id != g.inst.id:
-        raise TypeMismatch(f"instance mismatch: {f.inst.id} vs {g.inst.id}")
+    _same_instance(f.inst, g.inst)
     if f.cod != g.dom:
         raise TypeMismatch(f"cannot compose {g.dom.name} after {f.cod.name}")
     inst = f.inst
@@ -122,8 +128,7 @@ def compose(g: Kernel, f: Kernel) -> Kernel:
 
 def tensor(f: Kernel, g: Kernel) -> Kernel:
     """Parallel composition; for measure monads the Kronecker product."""
-    if f.inst.id != g.inst.id:
-        raise TypeMismatch(f"instance mismatch: {f.inst.id} vs {g.inst.id}")
+    _same_instance(f.inst, g.inst)
     inst = f.inst
     dom = product([f.dom, g.dom])
     cod = product([f.cod, g.cod])
@@ -146,8 +151,7 @@ def pairing(*kernels: Kernel) -> Kernel:
     if any(k.dom != dom for k in kernels):
         raise TypeMismatch("pairing requires a common domain")
     for k in kernels[1:]:
-        if k.inst.id != inst.id:
-            raise TypeMismatch(f"instance mismatch: {inst.id} vs {k.inst.id}")
+        _same_instance(inst, k.inst)
     cod = functools.reduce(lambda acc, c: product([acc, c]), (k.cod for k in kernels))
     columns = zip(*(k.columns for k in kernels))
     return Kernel(inst, dom, cod, (functools.reduce(inst.lax_c, col) for col in columns))
@@ -225,7 +229,7 @@ def equivalent(f: Kernel, g: Kernel) -> Optional[Kernel]:
     """The unique effect a with a.f = g, or None if f and g are not in the
     same orbit.  Candidate-then-verify: a := mass(f)^-1 . mass(g) is the only
     possibility because the scalar action is free."""
-    if f.dom != g.dom or f.cod != g.cod or f.inst.id != g.inst.id:
+    if f.dom != g.dom or f.cod != g.cod or f.inst.key != g.inst.key:
         raise TypeMismatch("equivalence requires parallel kernels")
     candidate = effect_mul(_inverse_mass(f)[1], mass(g))
     if scalar_action(candidate, f) == g:

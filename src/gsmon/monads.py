@@ -23,7 +23,6 @@ from .errors import (
     NotEnumerable,
     OutOfBound,
     PayloadInvalid,
-    UndecidableWithoutSolver,
     UnknownMonad,
 )
 from .finset import (
@@ -142,22 +141,17 @@ class MonadInstance:
     # -- solvers -----------------------------------------------------------
 
     def t1_inverse(self, t: TValue) -> Optional[TValue]:
-        """Inverse of t in the internal monoid T1, or None."""
-        if not self.enumerable:
-            raise UndecidableWithoutSolver(f"{self.id}: no T1 inverse solver")
+        """Inverse of t in the internal monoid T1, or None; this one searches
+        `enumerate_values(UNIT)` (NotEnumerable without an enumerator)."""
         one = self.unit(UNIT, ())
         for u in self.enumerate_values(UNIT):
             if self.lax_c(t, u) == one:
                 return u
         return None
 
-    def noninvertible_t1_candidate(self) -> Optional[TValue]:
-        """A preferred witness element of T1 expected to have no inverse."""
-        return None
-
-    def solver_classification(self, trials: int, rng: random.Random) -> "Classification":
-        """Classify T1 without an enumerator, checked on seeded samples."""
-        raise UndecidableWithoutSolver(f"{self.id}: no enumerator and no solver")
+    def t1_candidates(self) -> list:
+        """Elements of T1 that `classify` tries first: the zero, if any."""
+        return [self.zero(UNIT)] if self.has_zero else []
 
     def _check_x(self, base: FinSet, x: Elem):
         if x not in base:
@@ -237,6 +231,14 @@ class _TableMonad(MonadInstance):
             return super().zero(base)
         return self._value(base, Table((0,) * len(base)))
 
+    def t1_candidates(self) -> list:
+        """1 + 1, the table (2,), where it is a value (not in D), then the zero."""
+        try:
+            two = [self.make(UNIT, (2,))]
+        except PayloadInvalid:
+            two = []
+        return two + super().t1_candidates()
+
     def value_text(self, t: TValue) -> str:
         entries = [
             f"{elem_to_str(e)}:{format_rat(v)}"
@@ -291,18 +293,6 @@ class MeasureMonad(_MeasureBase):
     id = "M"
     has_zero = True
 
-    def solver_classification(self, trials: int, rng: random.Random) -> "Classification":
-        one, zero = self.unit(UNIT, ()), self.zero(UNIT)
-        for _ in range(trials):
-            if self.lax_c(zero, self.sample(UNIT, rng)) == one:  # pragma: no cover - 0*b = 0
-                raise InvariantViolation("zero scalar acquired an inverse")
-        return Classification(
-            "not_weakly_affine",
-            witness=zero,
-            evidence="solver-asserted",
-            note=f"scalar 0 has no inverse; checked against {trials} samples",
-        )
-
 
 class NonzeroMeasureMonad(_MeasureBase):
     """Non-zero finitely supported measures; closed under all operations
@@ -322,20 +312,6 @@ class NonzeroMeasureMonad(_MeasureBase):
             except PayloadInvalid:
                 continue
 
-    def solver_classification(self, trials: int, rng: random.Random) -> "Classification":
-        one = self.unit(UNIT, ())
-        for _ in range(trials):
-            a = self.sample(UNIT, rng)
-            b = self.t1_inverse(a)
-            if b is None or self.lax_c(a, b) != one:
-                raise InvariantViolation("M* reciprocal solver failed")
-        return Classification(
-            "weakly_affine_not_affine",
-            witness=self.make(UNIT, (2,)),
-            evidence="solver-asserted",
-            note=f"reciprocal inverse verified on {trials} samples; 2 != 1 in T1",
-        )
-
 
 class DistributionMonad(_MeasureBase):
     """Probability distributions: columns sum to one."""
@@ -352,17 +328,6 @@ class DistributionMonad(_MeasureBase):
             raw = Table.of_ratios(_sampled_ratios(base, rng))
             if raw.pivot() is not None:
                 return self.make(base, raw.normalized())
-
-    def solver_classification(self, trials: int, rng: random.Random) -> "Classification":
-        one = self.unit(UNIT, ())
-        for _ in range(trials):
-            if self.sample(UNIT, rng) != one:  # pragma: no cover - D1 is a point
-                raise InvariantViolation("D value over 1 differs from the unit")
-        return Classification(
-            "affine",
-            evidence="solver-asserted",
-            note=f"all {trials} sampled elements of T1 equal the unit",
-        )
 
 
 class IdentityMonad(MonadInstance):
@@ -601,9 +566,6 @@ class FreeAbelianMonad(_TableMonad):
     def sample(self, base: FinSet, rng: random.Random) -> TValue:
         return self.make(base, tuple(rng.randint(-1, 1) for _ in base))
 
-    def noninvertible_t1_candidate(self) -> Optional[TValue]:
-        return None if self.bound < 2 else self.make(UNIT, (2,))
-
 
 @dataclass
 class Classification:
@@ -627,34 +589,64 @@ class Classification:
         }
 
 
+# The note of a verdict, per evidence: n counts the elements of T1 examined
+# and w is the witness, read as a scalar.
+_NOTES = {
+    ("exhaustive", "not_weakly_affine"): "element of T1 with no inverse among {n} values",
+    ("exhaustive", "affine"): "T1 has exactly one element",
+    ("exhaustive", "weakly_affine_not_affine"): "|T1| = {n}, every element invertible",
+    ("solver-asserted", "not_weakly_affine"):
+        "scalar {w} has no inverse; checked against {n} samples",
+    ("solver-asserted", "affine"): "all {n} sampled elements of T1 equal the unit",
+    ("solver-asserted", "weakly_affine_not_affine"):
+        "reciprocal inverse verified on {n} samples; {w} != 1 in T1",
+}
+
+
+def _scalar(t: TValue) -> str:
+    """A T1 value as a scalar: a table's one entry, any other value's text."""
+    return format_rat(t.payload[0]) if type(t.payload) is Table else t.describe()
+
+
 def classify(inst: MonadInstance, trials: int = 200, seed: int = 42) -> Classification:
     """Decide affine / weakly affine / neither for the internal monoid T1.
 
-    Enumerable instances are decided exhaustively.  For the non-enumerable
-    measure instances the verdict relies on the per-instance inverse solver;
-    it is verified on seeded samples and flagged "solver-asserted".
+    One rule for every instance.  It examines all of T1 for an enumerable
+    instance ("exhaustive"), else `trials` seeded samples ("solver-asserted"),
+    after the instance's `t1_candidates` (those in T1, when T1 is listed).
+    Each element that is not the unit goes to the exact solver `t1_inverse`;
+    the first with no inverse witnesses "not weakly affine".  Otherwise T1
+    is affine if every element examined is the unit, else weakly affine with
+    the first non-unit as its witness.  On samples the solver's answers are
+    re-checked: a witness times a sample is never the unit, and an inverse
+    multiplies back to it.
     """
-    if inst.enumerable:
-        one = inst.unit(UNIT, ())
-        carrier = list(inst.enumerate_values(UNIT))
-        preferred = inst.noninvertible_t1_candidate()
-        for t in ([] if preferred is None else [preferred]) + carrier:
-            if inst.t1_inverse(t) is None:
-                return Classification(
-                    "not_weakly_affine",
-                    witness=t,
-                    note=f"element of T1 with no inverse among {len(carrier)} values",
-                )
-        if len(carrier) == 1:
-            return Classification("affine", note="T1 has exactly one element")
-        non_unit = next(t for t in carrier if t != one)
-        return Classification(
-            "weakly_affine_not_affine",
-            witness=non_unit,
-            note=f"|T1| = {len(carrier)}, every element invertible",
-        )
-
-    return inst.solver_classification(trials, random.Random(seed))
+    one = inst.unit(UNIT, ())
+    sampled = not inst.enumerable
+    if sampled:
+        rng = random.Random(seed)
+        elements = [inst.sample(UNIT, rng) for _ in range(trials)]
+        candidates = inst.t1_candidates()
+    else:
+        elements = list(inst.enumerate_values(UNIT))
+        candidates = [t for t in inst.t1_candidates() if t in elements]
+    kind, witness = "affine", None
+    for t in candidates + elements:
+        if t == one:
+            continue
+        inverse = inst.t1_inverse(t)
+        if inverse is None:
+            if sampled and any(inst.lax_c(t, b) == one for b in elements):
+                raise InvariantViolation(f"{inst.id}: a sample inverts {inst.value_text(t)}")
+            kind, witness = "not_weakly_affine", t
+            break
+        if sampled and inst.lax_c(t, inverse) != one:
+            raise InvariantViolation(f"{inst.id}: wrong inverse of {inst.value_text(t)}")
+        if witness is None:
+            kind, witness = "weakly_affine_not_affine", t
+    evidence = "solver-asserted" if sampled else "exhaustive"
+    note = _NOTES[evidence, kind].format(n=len(elements), w=witness and _scalar(witness))
+    return Classification(kind, witness=witness, evidence=evidence, note=note)
 
 
 _classify_cache: dict = {}
@@ -987,6 +979,7 @@ def check_monad_laws(
                 f"{inst.id}: {pairs} kernel pairs of the law check"
                 f" exceed the law-check budget of {LAW_PAIR_BUDGET}"
             )
+        held = set()  # (law, the objects of its variables) for each law that held
         for X, Y, Z in itertools.product(sets, repeat=3):
             pools = {
                 "t": list(inst.enumerate_values(X)),
@@ -998,9 +991,15 @@ def check_monad_laws(
                 "h": list(enumerate_kernels(inst, Y, Z)),
                 "x": X.elements,
             }
-            witness = _first_failure(_law_table(inst, X, Y, Z), pools, decide=True)
+            # A law holds alike on every table where its variables range over
+            # the same objects, so one that held on such a table is skipped.
+            objs = dict(x=X, t=X, u=Y, v=Z, f=(X, Y), k=(X, Y), g=(Y, Z), h=(Y, Z))
+            scoped = [((law[0], *map(objs.get, law[1])), law) for law in _law_table(inst, X, Y, Z)]
+            laws = [law for scope, law in scoped if scope not in held]
+            witness = _first_failure(laws, pools, decide=True)
             if witness is not None:
                 break
+            held.update(scope for scope, _ in scoped)
     else:
         rng = random.Random(seed)
         for _ in range(trials):

@@ -27,7 +27,8 @@ from gsmon.kernels import (
     tensor,
     try_effect_inverse,
 )
-from gsmon.monads import ALL_MONAD_IDS, get_instance
+from gsmon.monads import ALL_MONAD_IDS, WriterMonad, get_instance
+from gsmon.monoid import FiniteMonoid, get_monoid
 
 A = FinSet.of("A", ["a0"])
 X = FinSet.of("X", ["x0", "x1"])
@@ -229,3 +230,20 @@ def test_enumerate_and_sample_kernels():
     rng = random.Random(5)
     k = sample_kernel(M, X, Y, rng)
     assert k.dom == X and k.cod == Y
+
+
+def test_kernels_over_two_writers_of_one_name_are_told_apart():
+    # AND renamed Z2 has the id of the library Z2 writer, and the same labels.
+    and_z2 = WriterMonad(FiniteMonoid.from_json(get_monoid("AND").to_json(), name="Z2"))
+    z2 = get_instance("writer:Z2")
+    assert and_z2.id == z2.id
+    a, b = (Kernel(inst, A, A, [inst.make(A, ("0", ("a0",)))]) for inst in (and_z2, z2))
+    assert a != b
+    assert a == Kernel(and_z2, A, A, a.columns) and hash(a) == hash(Kernel(and_z2, A, A, a.columns))
+    for build in (compose, tensor, pairing):
+        with pytest.raises(TypeMismatch, match="instance mismatch") as caught:
+            build(a, b)
+        sides = set(str(caught.value).removeprefix("instance mismatch: ").split(" vs "))
+        assert sides == {repr(and_z2.key), repr(z2.key)}  # not "writer:Z2" twice
+    with pytest.raises(TypeMismatch):
+        equivalent(a, b)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -288,6 +289,40 @@ def test_decisions_hold_without_the_scan(scan_free, monad_id):
 @pytest.mark.parametrize("monad_id", ["writer:Z3", "P"])
 def test_decisions_hold_without_the_scan_at_sizes_1_2_3(scan_free, monad_id):
     assert check_monad_laws(get_instance(monad_id), [1, 2, 3]).passed
+
+
+@pytest.fixture
+def equation_calls(monkeypatch):
+    """A Counter of the equation calls per law, filled as the law check runs."""
+    calls, law_table = Counter(), monads._law_table
+
+    def counted(law, holds):
+        def equation(*args):
+            calls[law] += 1
+            return holds(*args)
+        return equation
+
+    def table(*args):
+        return tuple(
+            (law, variables, counted(law, holds), witness, decision)
+            for law, variables, holds, witness, decision in law_table(*args)
+        )
+
+    monkeypatch.setattr(monads, "_law_table", table)
+    return calls
+
+
+def test_laws_that_do_not_name_z_are_scanned_once_per_x_and_y(equation_calls):
+    assert check_monad_laws(get_instance("writer:Z3"), [1, 2]).passed
+    # writer:Z3 has 3|S| values over S, |S|^|X| functions and (3|Y|)^|X| kernels.
+    sizes = list(itertools.product((1, 2), repeat=2))
+    assert dict(equation_calls) == {
+        "kleisli_left_unit": sum(x * (3 * y) ** x for x, y in sizes),
+        "kleisli_right_unit": sum(3 * y for y in (1, 2)),
+        "functor_identity": sum(3 * x for x in (1, 2)),
+        "unit_naturality": sum(x * y**x for x, y in sizes),
+        "c_symmetry": sum(3 * x * 3 * y for x, y in sizes),
+    }
 
 
 def test_law_pairs_counts_kernel_pairs_per_table():
