@@ -12,6 +12,7 @@ coherence isomorphisms the constructions below would otherwise need
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -25,10 +26,12 @@ class FinSet:
 
     Equality and hashing ignore the name: two sets with the same element
     tuple are the same object of the base category.  All elements must have
-    the same arity (atom count) so that products cannot collide.
+    the same arity (atom count) so that products cannot collide.  Each set
+    also carries `_uid`, a small int naming its (name, elements) pair: equal
+    for two sets built from the same pair, different otherwise.
     """
 
-    __slots__ = ("name", "elements", "arity", "_index", "_hash")
+    __slots__ = ("name", "elements", "arity", "_index", "_hash", "_uid")
 
     def __init__(self, name: str, elements: Sequence[Elem]):
         elems = tuple(tuple(e) for e in elements)
@@ -42,6 +45,7 @@ class FinSet:
         self.arity = arities.pop() if arities else 0
         self._index = {e: i for i, e in enumerate(elems)}
         self._hash = hash(elems)
+        self._uid = _uids.setdefault((name, elems), len(_uids))
 
     @classmethod
     def of(cls, name: str, labels: Sequence[str]) -> "FinSet":
@@ -73,25 +77,36 @@ class FinSet:
         return f"FinSet({self.name!r}, {len(self)} elements)"
 
 
+# The number of each (name, elements) pair a FinSet has been built from, in
+# order of first use: FinSet._uid.
+_uids: dict = {}
+
 UNIT = FinSet("I", ((),))
 
 
-# Every product built so far, keyed by its factors' names and elements: set
-# equality ignores names, but a product's name is part of its output.
+# Every product built so far, keyed by its factors' `_uid`s.
 _products: dict = {(): UNIT}
+
+_uid_of = operator.attrgetter("_uid")
 
 
 def product(factors: Sequence[FinSet]) -> FinSet:
     """Cartesian product with lexicographic order; empty input gives UNIT.
 
-    Each distinct product is built once and then shared."""
-    key = tuple((f.name, f) for f in factors)
+    Each distinct product is built once and then shared.  The memo is keyed
+    by the tuple of the factors' `_uid`s, so a lookup hashes a few small ints
+    and compares no elements.  It tells factors apart by name and elements:
+    set equality ignores names, but a product's name is part of its output.
+    It is not keyed by object identity, so building equal sets again adds
+    nothing: the memo, like the `_uids` registry, holds one entry per
+    distinct sequence of (name, elements) pairs it has been asked for."""
+    key = tuple(map(_uid_of, factors))
     out = _products.get(key)
     if out is not None:
         return out
-    names = [name for name, f in key if f.arity > 0] or ["I"]
+    names = [f.name for f in factors if f.arity > 0] or ["I"]
     elements = tuple(
-        sum(combo, ()) for combo in itertools.product(*(f.elements for _, f in key))
+        sum(combo, ()) for combo in itertools.product(*(f.elements for f in factors))
     )
     _products[key] = out = FinSet("x".join(names), elements)
     return out

@@ -50,7 +50,7 @@ class Kernel:
         for col in columns:
             if col.monad != inst.id:
                 raise TypeMismatch(f"column belongs to {col.monad}, kernel to {inst.id}")
-            if col.base != cod:
+            if col.base is not cod and col.base != cod:
                 raise TypeMismatch("column base does not match codomain")
         self.inst = inst
         self.dom = dom

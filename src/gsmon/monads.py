@@ -12,7 +12,7 @@ import itertools
 import operator
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from math import lcm
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -49,19 +49,56 @@ SAMPLE_NUM_MAX = 9
 SAMPLE_DEN_MAX = 4
 
 
-@dataclass(frozen=True)
 class TValue:
-    """An element of TX for a concrete instance, in canonical form."""
+    """An element of TX for a concrete instance, in canonical form.
 
-    monad: str
-    base: FinSet
-    payload: object
+    Immutable: assigning to or deleting a field raises FrozenInstanceError.
+    Two values are equal when their monad ids, their bases (compared by
+    elements, the same object first) and their payloads are.  The hash is
+    hash((monad, base, payload)) and must stay so: the iteration order of
+    sets and dicts of values, and so the bytes of outputs that list them,
+    follow from it."""
+
+    __slots__ = ("monad", "base", "payload")
+
+    def __init__(self, monad: str, base: FinSet, payload):
+        _set_monad(self, monad)
+        _set_base(self, base)
+        _set_payload(self, payload)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not TValue:
+            return NotImplemented
+        return (
+            self.monad == other.monad
+            and (self.base is other.base or self.base == other.base)
+            and self.payload == other.payload
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.monad, self.base, self.payload))
+
+    def __repr__(self) -> str:
+        return f"TValue(monad={self.monad!r}, base={self.base!r}, payload={self.payload!r})"
+
+    def __reduce__(self):
+        return TValue, (self.monad, self.base, self.payload)
 
     def describe(self) -> str:
         try:
             return get_instance(self.monad).value_text(self)
         except UnknownMonad:  # e.g. a writer monad over a monoid outside the library
             return f"{self.monad}({self.payload!r})"
+
+
+# The slots' own setters: __init__ fills the fields past the refusing __setattr__.
+_set_monad, _set_base, _set_payload = (TValue.__dict__[f].__set__ for f in TValue.__slots__)
 
 
 class MonadInstance:
@@ -204,10 +241,13 @@ class _TableMonad(MonadInstance):
         return self._value(base, Table(tuple(nums)))
 
     def map(self, f: FinFun, t: TValue) -> TValue:
+        """The pushforward: entry i of t is added to entry f.mapping[i]."""
+        if t.base is not f.dom and t.base != f.dom:
+            raise MalformedInput(f"value over {t.base.name} is not over the domain {f.dom.name}")
         table = t.payload
         nums = [0] * len(f.cod)
-        for e, n in zip(t.base.elements, table.nums):
-            nums[f.cod.index(f(e))] += n
+        for j, n in zip(f.mapping, table.nums):
+            nums[j] += n
         return self._value(f.cod, Table.reduced(nums, table.den))
 
     def extend(self, col, cod: FinSet, t: TValue) -> TValue:

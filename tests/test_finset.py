@@ -1,5 +1,7 @@
 import pytest
 
+from gsmon import finset
+from gsmon.cli import main
 from gsmon.errors import EmptyCodomain, MalformedInput
 from gsmon.finset import (
     FinSet,
@@ -51,6 +53,33 @@ def test_products_of_equal_sets_keep_their_names():
     assert product([b, b]).name == "BxB"
     assert product([a, b]).name == "AxB"
     assert product([a, b]) is product([FinSet.of("A", ["p", "q"]), b])
+    c, d = FinSet.of("C", ["p", "q"]), FinSet.of("D", ["p", "q"])
+    assert product([c, d]).name == "CxD"
+    assert product([c, d]) == product([a, b]) and product([c, d]) is not product([a, b])
+
+
+def test_rebuilding_equal_sets_adds_no_product_or_number():
+    a = FinSet.of("A", ["p", "q"])
+    b = FinSet.of("B", ["p", "q", "r"])
+    ab = product([a, b])
+    sizes = len(finset._products), len(finset._uids)
+    for _ in range(100):
+        fresh_a = FinSet.of("A", ["p", "q"])
+        fresh_b = FinSet.of("B", ["p", "q", "r"])
+        assert fresh_a is not a and fresh_a._uid == a._uid
+        assert product([fresh_a, fresh_b]) is ab
+    assert (len(finset._products), len(finset._uids)) == sizes
+
+
+def test_a_repeated_cli_check_adds_no_product_or_number(capsys):
+    argv = ["check", "pullback", "--square", "assoc", "--monad", "M*", "--sizes", "2,2,2",
+            "--mode", "random", "--trials", "20", "--seed", "1"]
+    assert main(argv) == 0
+    sizes = len(finset._products), len(finset._uids)
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert (len(finset._products), len(finset._uids)) == sizes
 
 
 def test_duplicate_and_mixed_arity_rejected():

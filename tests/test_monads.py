@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,8 +9,9 @@ from fractions import Fraction
 import pytest
 
 from gsmon import monads
-from gsmon.errors import NotEnumerable, OutOfBound, PayloadInvalid, UnknownMonad
+from gsmon.errors import MalformedInput, NotEnumerable, OutOfBound, PayloadInvalid, UnknownMonad
 from gsmon.finset import (
+    FinFun,
     FinSet,
     UNIT,
     enumerate_functions,
@@ -23,6 +27,7 @@ from gsmon.monads import (
     WriterMonad,
     ENUMERATION_BUDGET,
     LAW_PAIR_BUDGET,
+    TValue,
     budgeted_product,
     check_monad_laws,
     classify,
@@ -30,6 +35,7 @@ from gsmon.monads import (
     law_pairs,
 )
 from gsmon.monoid import MONOID_LIBRARY, FiniteMonoid, get_monoid
+from gsmon.rational import Table
 from gsmon.report import CheckReport
 
 X = FinSet.of("X", ["x0", "x1"])
@@ -412,6 +418,111 @@ def test_powerset_extend_is_relation_composition():
         ("x1",): p.make(Y, frozenset()),
     }
     assert p.extend(cols.__getitem__, Y, t).payload == frozenset({("y0",)})
+
+
+@dataclasses.dataclass(frozen=True)
+class DataclassTValue:
+    """TValue as the frozen dataclass it was: the oracle of its equality,
+    hash and repr."""
+
+    monad: str
+    base: FinSet
+    payload: object
+
+
+def _values_to_compare() -> list:
+    """Every value of each enumerable library instance over sets of sizes 0
+    to 2, and seeded M, M* and D samples over sets of sizes 1 and 2.  Each
+    size has three bases: a set "S<n>", a second object built with the same
+    name and elements, and an equal set named "R<n>"."""
+    rng = random.Random(5)
+    values = []
+    for n in (0, 1, 2):
+        labels = [f"e{i}" for i in range(n)]
+        for base in (FinSet.of(f"S{n}", labels), FinSet.of(f"S{n}", labels),
+                     FinSet.of(f"R{n}", labels)):
+            for monad_id in ALL_MONAD_IDS:
+                inst = get_instance(monad_id)
+                if inst.enumerable:
+                    values += inst.enumerate_values(base)
+                elif n:
+                    values += (inst.sample(base, rng) for _ in range(10))
+    return values
+
+
+def test_tvalue_equality_and_hash_are_the_frozen_dataclass_ones():
+    pairs = [(v, DataclassTValue(v.monad, v.base, v.payload)) for v in _values_to_compare()]
+    assert {v.monad for v, _ in pairs} == set(ALL_MONAD_IDS)
+    for v, o in pairs:
+        assert hash(v) == hash(o)
+        assert repr(v) == repr(o).replace("DataclassTValue", "TValue", 1)
+        assert v != o and not v == (v.monad, v.base, v.payload)
+    # Values are equal only with equal payloads, so the pairs that can be
+    # equal meet in the payload groups; the values over sets of size <= 1
+    # are also compared all against all, across payloads and monads.
+    groups = {}
+    for pair in pairs:
+        groups.setdefault(pair[0].payload, []).append(pair)
+    small = [pair for pair in pairs if len(pair[0].base) <= 1]
+    assert max(map(len, groups.values())) > 3  # equal payloads over other monads
+    for group in [*groups.values(), small]:
+        for (v, o), (w, p) in itertools.product(group, repeat=2):
+            assert (v == w) == (o == p)
+            assert (v != w) == (o != p)
+
+
+def test_tvalue_is_immutable_and_copies_to_an_equal_value():
+    t = get_instance("M").make(X, (1, Fraction(1, 2)))
+    for field in ("monad", "base", "payload", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, field, None)
+    for field in ("monad", "base", "payload"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(t, field)
+    for copied in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert copied == t and hash(copied) == hash(t)
+        assert copied.base._uid == X._uid
+
+
+def _map_by_elements(inst, f: FinFun, t: TValue) -> TValue:
+    """The pushforward summed element by element: each element of t's base
+    is looked up in f's domain, and its image in f's codomain."""
+    nums = [0] * len(f.cod)
+    for e, n in zip(t.base.elements, t.payload.nums):
+        nums[f.cod.index(f(e))] += n
+    return TValue(inst.id, f.cod, Table.reduced(nums, t.payload.den))
+
+
+@pytest.mark.parametrize("monad_id", ["M", "D", "F(B=2)"])
+def test_table_map_is_the_element_by_element_sum(monad_id):
+    inst = get_instance(monad_id)
+    rng = random.Random(7)
+    sets = [FinSet.of(f"S{n}", [f"s{n}_{i}" for i in range(n)]) for n in (1, 2, 3)]
+    for dom in sets:
+        if inst.enumerable:
+            values = list(inst.enumerate_values(dom))
+        else:
+            values = [inst.sample(dom, rng) for _ in range(20)]
+        for cod in sets:
+            for f in enumerate_functions(dom, cod):
+                for t in values:
+                    out = inst.map(f, t)
+                    assert out == _map_by_elements(inst, f, t)
+                    assert out.base is f.cod
+
+
+@pytest.mark.parametrize("monad_id", ["M", "D", "F(B=2)"])
+def test_table_map_refuses_a_value_off_the_domain(monad_id):
+    inst = get_instance(monad_id)
+    f = swap_fun(X, Y)
+    xy = product([X, Y])
+    renamed = FinSet("XY", xy.elements)
+    reordered = FinSet("XY", xy.elements[::-1])
+    table = (1, 0, 0, 0)
+    assert inst.map(f, inst.make(renamed, table)) == inst.map(f, inst.make(xy, table))
+    for base in (reordered, product([Y, X])):
+        with pytest.raises(MalformedInput):
+            inst.map(f, inst.make(base, table))
 
 
 def test_payload_validation():
