@@ -13,7 +13,7 @@ import operator
 import random
 import re
 from dataclasses import FrozenInstanceError, dataclass
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -39,7 +39,7 @@ from .finset import (
     swap_fun,
 )
 from .monoid import FiniteMonoid
-from .rational import Table, format_rat, parse_rat
+from .rational import Table, _reduced, _table, format_rat, parse_rat
 from .report import CheckReport, require_mode
 
 _INT_RE = re.compile(r"-?[0-9]+")
@@ -47,6 +47,10 @@ _INT_RE = re.compile(r"-?[0-9]+")
 # Sampler caps: small exact values keep witnesses readable.
 SAMPLE_NUM_MAX = 9
 SAMPLE_DEN_MAX = 4
+# The measure samplers draw denominators 1..SAMPLE_DEN_MAX, which all divide
+# _SAMPLE_DEN: a drawn n / d is n * _SAMPLE_SCALE[d] / _SAMPLE_DEN.
+_SAMPLE_DEN = lcm(*range(1, SAMPLE_DEN_MAX + 1))
+_SAMPLE_SCALE = [0] + [_SAMPLE_DEN // d for d in range(1, SAMPLE_DEN_MAX + 1)]
 
 
 class TValue:
@@ -190,9 +194,12 @@ class MonadInstance:
         """Elements of T1 that `classify` tries first: the zero, if any."""
         return [self.zero(UNIT)] if self.has_zero else []
 
-    def _check_x(self, base: FinSet, x: Elem):
-        if x not in base:
+    def _check_x(self, base: FinSet, x: Elem) -> int:
+        """The index of x in `base`; ElementNotInSet if x is not in it."""
+        i = base._index.get(x)
+        if i is None:
             raise ElementNotInSet(f"{x!r} not in {base.name}")
+        return i
 
 
 class _TableMonad(MonadInstance):
@@ -215,10 +222,12 @@ class _TableMonad(MonadInstance):
     scalar_from_json = staticmethod(parse_rat)
 
     def validate(self, base: FinSet, payload):
-        """A Table is taken as it is; anything else is read as a sequence
-        of entries by `_table_of`."""
+        """A Table is taken as it is: its constructor checks and reduces its
+        input, and nothing re-checks a table whose fields were assigned after
+        construction.  Anything else is read as a sequence of entries by
+        `_table_of`."""
         table = payload if type(payload) is Table else self._table_of(payload)
-        if len(table.nums) != len(base):
+        if len(table.nums) != len(base.elements):
             raise PayloadInvalid(f"{self.id}: table size does not match {base.name}")
         self._check_table(table)
         return table
@@ -235,20 +244,20 @@ class _TableMonad(MonadInstance):
         """PayloadInvalid unless `table` is a value of this monad."""
 
     def unit(self, base: FinSet, x: Elem) -> TValue:
-        self._check_x(base, x)
-        nums = [0] * len(base)
-        nums[base.index(x)] = 1
-        return self._value(base, Table(tuple(nums)))
+        i = self._check_x(base, x)
+        nums = [0] * len(base.elements)
+        nums[i] = 1
+        return self._value(base, _table(tuple(nums), 1))
 
     def map(self, f: FinFun, t: TValue) -> TValue:
         """The pushforward: entry i of t is added to entry f.mapping[i]."""
         if t.base is not f.dom and t.base != f.dom:
             raise MalformedInput(f"value over {t.base.name} is not over the domain {f.dom.name}")
         table = t.payload
-        nums = [0] * len(f.cod)
+        nums = [0] * len(f.cod.elements)
         for j, n in zip(f.mapping, table.nums):
             nums[j] += n
-        return self._value(f.cod, Table.reduced(nums, table.den))
+        return self._value(f.cod, _reduced(nums, table.den))
 
     def extend(self, col, cod: FinSet, t: TValue) -> TValue:
         table = t.payload
@@ -259,17 +268,31 @@ class _TableMonad(MonadInstance):
             scale = n * (den // c.den)
             for j, m in enumerate(c.nums):
                 nums[j] += scale * m
-        return self._value(cod, Table.reduced(nums, den * table.den))
+        return self._value(cod, _reduced(nums, den * table.den))
 
     def lax_c(self, t: TValue, u: TValue) -> TValue:
+        """The outer product, reduced from its factors: for canonical a and
+        b, gcd(a.den * b.den, every a_i * b_j) is gcd(a.den, *b.nums) times
+        gcd(b.den, *a.nums), so each factor is divided by its share first."""
         a, b = t.payload, u.payload
-        nums = [m * n for m in a.nums for n in b.nums]
-        return self._value(product([t.base, u.base]), Table.reduced(nums, a.den * b.den))
+        anums, aden, bnums, bden = a.nums, a.den, b.nums, b.den
+        if aden != 1:
+            g = gcd(aden, *bnums)
+            if g != 1:
+                aden //= g
+                bnums = [n // g for n in bnums]
+        if bden != 1:
+            g = gcd(bden, *anums)
+            if g != 1:
+                bden //= g
+                anums = [m // g for m in anums]
+        table = _table(tuple([m * n for m in anums for n in bnums]), aden * bden)
+        return self._value(product([t.base, u.base]), table)
 
     def zero(self, base: FinSet) -> TValue:
         if not self.has_zero:
             return super().zero(base)
-        return self._value(base, Table((0,) * len(base)))
+        return self._value(base, _table((0,) * len(base.elements), 1))
 
     def t1_candidates(self) -> list:
         """1 + 1, the table (2,), where it is a value (not in D), then the zero."""
@@ -304,9 +327,17 @@ class _TableMonad(MonadInstance):
         return self.make(base, tuple(table.get(e, 0) for e in base.elements))
 
 
-def _sampled_ratios(base: FinSet, rng: random.Random) -> list:
-    """One (numerator, denominator) draw per element of `base`, in order."""
-    return [(rng.randint(0, SAMPLE_NUM_MAX), rng.randint(1, SAMPLE_DEN_MAX)) for _ in base]
+def _sampled_nums(base: FinSet, rng: random.Random) -> list:
+    """Per element of `base`, in order, a numerator n in 0..SAMPLE_NUM_MAX
+    and then a denominator d in 1..SAMPLE_DEN_MAX drawn with `rng.randint`
+    (the left operand of `*` is evaluated first); the entries n / d as
+    numerators over _SAMPLE_DEN.  `perfbench/tracer.py` counts the draws, two
+    per element, to find the D sampler's rejects."""
+    randint = rng.randint
+    return [
+        randint(0, SAMPLE_NUM_MAX) * _SAMPLE_SCALE[randint(1, SAMPLE_DEN_MAX)]
+        for _ in base.elements
+    ]
 
 
 class _MeasureBase(_TableMonad):
@@ -319,7 +350,7 @@ class _MeasureBase(_TableMonad):
             raise PayloadInvalid(f"{self.id}: negative entry")
 
     def sample(self, base: FinSet, rng: random.Random) -> TValue:
-        return self.make(base, Table.of_ratios(_sampled_ratios(base, rng)))
+        return self.make(base, _reduced(_sampled_nums(base, rng), _SAMPLE_DEN))
 
     def t1_inverse(self, t: TValue) -> Optional[TValue]:
         if t.payload.pivot() is None:
@@ -365,9 +396,10 @@ class DistributionMonad(_MeasureBase):
 
     def sample(self, base: FinSet, rng: random.Random) -> TValue:
         while True:
-            raw = Table.of_ratios(_sampled_ratios(base, rng))
-            if raw.pivot() is not None:
-                return self.make(base, raw.normalized())
+            nums = _sampled_nums(base, rng)
+            total = sum(nums)
+            if total:
+                return self.make(base, _reduced(nums, total))
 
 
 class IdentityMonad(MonadInstance):
@@ -582,10 +614,10 @@ class FreeAbelianMonad(_TableMonad):
         self.id = f"F(B={bound})" if bound != 16 else "F"
 
     def _table_of(self, payload) -> Table:
-        payload = tuple(payload)
-        if any(type(v) is not int for v in payload):  # no bool, float or Fraction
-            raise PayloadInvalid(f"F: entries must be integers, got {payload!r}")
-        return Table(payload)
+        try:
+            return Table(tuple(payload))  # no bool, float or Fraction
+        except TypeError:
+            raise PayloadInvalid(f"F: entries must be integers, got {payload!r}") from None
 
     def _check_table(self, table: Table) -> None:
         if table.den != 1:

@@ -46,26 +46,30 @@ def format_rat(value: Fraction) -> str:
 
 
 class Table:
-    """The entries nums[i] / den, in canonical form.
+    """The entries nums[i] / den, in canonical form: gcd(den, *nums) = 1.
 
-    The constructor trusts its arguments: `nums` a tuple of ints, `den` a
-    positive int and gcd(den, *nums) = 1.  `reduced`, `of_entries` and
-    `of_ratios` build the canonical form from anything else."""
+    Every table is canonical when built.  The public constructor
+    `Table(nums, den)` checks its input -- `nums` a tuple of ints (not
+    bools), `den` an int (not a bool) of at least 1: TypeError or ValueError
+    otherwise -- and reduces it.  The arithmetic of this module and of the
+    table monads builds tables from ints it has computed itself, unchecked,
+    through `_table` (already canonical), or `_reduced` and `_scaled`, which
+    reduce.  The fields are not frozen: nothing re-checks a table whose
+    fields are assigned after construction."""
 
     __slots__ = ("nums", "den")
 
-    def __init__(self, nums: tuple, den: int = 1):
-        self.nums = nums
-        self.den = den
+    def __new__(cls, nums: tuple, den: int = 1) -> "Table":
+        if type(nums) is not tuple or any(type(n) is not int for n in nums):
+            raise TypeError(f"table numerators must be a tuple of ints, got {nums!r}")
+        if type(den) is not int:
+            raise TypeError(f"table denominator must be an int, got {den!r}")
+        if den < 1:
+            raise ValueError(f"table denominator must be at least 1, got {den}")
+        return _reduced(nums, den)
 
-    @classmethod
-    def reduced(cls, nums, den: int) -> "Table":
-        """The table nums / den for ints `nums` and a positive int `den`."""
-        if den != 1:
-            g = gcd(den, *nums)
-            if g != 1:
-                return cls(tuple(map(g.__rfloordiv__, nums)), den // g)
-        return cls(tuple(nums), den)
+    def __reduce__(self):
+        return Table, (self.nums, self.den)
 
     @classmethod
     def of_entries(cls, entries) -> "Table":
@@ -79,20 +83,12 @@ class Table:
                 ratios.append((v.numerator, v.denominator))
             else:
                 raise TypeError(f"not an exact rational: {v!r}")
-        return cls.of_ratios(ratios)
-
-    @classmethod
-    def of_ratios(cls, ratios) -> "Table":
-        """The table of the entries n / d for int pairs (n, d), d > 0."""
         den = lcm(*(d for _, d in ratios))
-        return cls.reduced([n * (den // d) for n, d in ratios], den)
+        return _reduced([n * (den // d) for n, d in ratios], den)
 
     def scaled(self, p: int, q: int) -> "Table":
-        """Every entry times p / q, for ints p and q != 0, in canonical form
-        (also when this table is not)."""
-        if q < 0:
-            p, q = -p, -q
-        return Table.reduced([n * p for n in self.nums], self.den * q)
+        """Every entry times p / q, for ints p and q != 0."""
+        return _scaled(self.nums, self.den, p, q)
 
     def pivot(self):
         """The index of the first non-zero entry, or None for the zero table."""
@@ -101,11 +97,11 @@ class Table:
     def over(self, indices, pivot: "Table", i: int) -> "Table":
         """The entries at `indices`, divided by entry i of `pivot` (non-zero)."""
         nums = self.nums
-        return Table([nums[j] for j in indices], self.den).scaled(pivot.den, pivot.nums[i])
+        return _scaled([nums[j] for j in indices], self.den, pivot.den, pivot.nums[i])
 
     def normalized(self) -> "Table":
         """Every entry divided by the sum of the entries (non-zero)."""
-        return Table(self.nums).scaled(1, sum(self.nums))
+        return _scaled(self.nums, 1, 1, sum(self.nums))
 
     def outer_factors(self, sizes) -> tuple:
         """Factor this table, over a lexicographic product of sets of `sizes`,
@@ -116,7 +112,8 @@ class Table:
         through p, the first divided by t[p]^(n-1)."""
         p = self.pivot()
         if p is None:
-            return [Table((0,) * sizes[0])] + [Table((1,) + (0,) * (s - 1)) for s in sizes[1:]], None
+            units = [_table((1,) + (0,) * (s - 1), 1) for s in sizes[1:]]
+            return [_table((0,) * sizes[0], 1)] + units, None
         nums, den, n = self.nums, self.den, len(sizes)
         strides = [prod(sizes[k + 1:]) for k in range(n)]
         slices = [
@@ -127,8 +124,8 @@ class Table:
         for flat, entries in enumerate(itertools.product(*slices)):
             if nums[flat] * lead != prod(entries):
                 return None, tuple(flat // stride % size for size, stride in zip(sizes, strides))
-        first = Table(slices[0], den).scaled(den ** (n - 1), lead)
-        return [first] + [Table.reduced(s, den) for s in slices[1:]], None
+        first = _scaled(slices[0], den, den ** (n - 1), lead)
+        return [first] + [_reduced(s, den) for s in slices[1:]], None
 
     def __len__(self) -> int:
         return len(self.nums)
@@ -150,3 +147,33 @@ class Table:
 
     def __repr__(self) -> str:
         return f"Table({self.nums!r}, {self.den!r})"
+
+
+_blank = object.__new__
+
+
+def _table(nums: tuple, den: int) -> Table:
+    """The table nums / den, unchecked: `nums` a tuple of ints and `den` an
+    int >= 1, with gcd(den, *nums) = 1."""
+    t = _blank(Table)
+    t.nums = nums
+    t.den = den
+    return t
+
+
+def _reduced(nums, den: int) -> Table:
+    """The canonical table nums / den, unchecked: ints `nums` (any sequence)
+    and an int `den` >= 1."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return _table(tuple([n // g for n in nums]), den // g)
+    return _table(tuple(nums), den)
+
+
+def _scaled(nums, den: int, p: int, q: int) -> Table:
+    """The canonical table of the entries n * p / (den * q), unchecked: ints
+    `nums` (any sequence), an int `den` >= 1 and ints p and q != 0."""
+    if q < 0:
+        p, q = -p, -q
+    return _reduced([n * p for n in nums], den * q)

@@ -249,6 +249,8 @@ def assoc_square(inst: MonadInstance, x: FinSet, y: FinSet, z: FinSet) -> Square
                 v = left((tx, ty, tz))
         return u, v
 
+    ny, nz, nyz = len(y), len(z), len(yz)
+
     def measure_solver(u, v):
         """Mediating triple for measure-like instances.
 
@@ -262,9 +264,9 @@ def assoc_square(inst: MonadInstance, x: FinSet, y: FinSet, z: FinSet) -> Square
         # YxZ at z0 or of XxY at x0, over that pivot entry.
         z0, x0 = t_z.payload.pivot(), t_x.payload.pivot()
         if z0 is not None:
-            by_table = t_yz.payload.over(range(z0, len(yz), len(z)), t_z.payload, z0)
+            by_table = t_yz.payload.over(range(z0, nyz, nz), t_z.payload, z0)
         elif x0 is not None:
-            by_table = t_xy.payload.over(range(x0 * len(y), (x0 + 1) * len(y)), t_x.payload, x0)
+            by_table = t_xy.payload.over(range(x0 * ny, (x0 + 1) * ny), t_x.payload, x0)
         else:
             # t_x = t_z = 0: every Y value mediates or none does; report failure.
             return None

@@ -490,7 +490,7 @@ def _map_by_elements(inst, f: FinFun, t: TValue) -> TValue:
     nums = [0] * len(f.cod)
     for e, n in zip(t.base.elements, t.payload.nums):
         nums[f.cod.index(f(e))] += n
-    return TValue(inst.id, f.cod, Table.reduced(nums, t.payload.den))
+    return TValue(inst.id, f.cod, Table(tuple(nums), t.payload.den))
 
 
 @pytest.mark.parametrize("monad_id", ["M", "D", "F(B=2)"])

@@ -203,7 +203,7 @@ def test_equal_rationals_give_one_value():
     equal_with_equal_hashes([
         half,
         m.make(X2, (F(2, 4), F(3, 6))),
-        m.make(X2, Table.reduced((3, 3), 6)),
+        m.make(X2, Table((3, 3), 6)),
         m.make(X2, m.make(X2, (1, 1)).payload.scaled(1, 2)),
         m.value_from_json(X2, {"entries": {"s2_1": "2/4", "s2_2": "3/6"}}),
     ])
@@ -243,7 +243,7 @@ def test_the_zero_table_built_in_several_ways(monad_id):
         ways += [
             inst.make(X2, (F(0), F(0, 7))),
             inst.make(X2, some.payload.scaled(0, 1)),
-            inst.make(X2, Table.reduced((0, 0), 6)),
+            inst.make(X2, Table((0, 0), 6)),
         ]
     equal_with_equal_hashes(ways)
     assert zero.payload == Table((0, 0), 1)
