@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import GsmonError, MalformedInput
+from .errors import GsmonError, MalformedInput, UnknownMonad
 from .finset import FinSet, elem_from_str, elem_to_str, product
 from .kernels import Kernel
 from .monads import MonadInstance, TValue, get_instance
@@ -54,9 +54,21 @@ def monoid_from_json(data) -> FiniteMonoid:
         raise MalformedInput(f"monoid JSON missing field {exc}") from None
 
 
+def _written_id(inst: MonadInstance) -> str:
+    """The id that names `inst` in JSON, refused (UnknownMonad) unless
+    `get_instance` reads it back as an instance with the same key."""
+    try:
+        same = get_instance(inst.id).key == inst.key
+    except UnknownMonad:
+        same = False
+    if not same:
+        raise UnknownMonad(f"{inst.id} does not read back as this instance; refusing to write it")
+    return inst.id
+
+
 def tvalue_to_json(t: TValue) -> dict:
-    data = {"monad": t.monad, "base": t.base.name}
-    data.update(get_instance(t.monad).value_to_json(t))
+    data = {"monad": _written_id(t.monad), "base": t.base.name}
+    data.update(t.monad.value_to_json(t))
     return data
 
 
@@ -79,7 +91,7 @@ def tvalue_from_json(data, inst: MonadInstance = None, base: FinSet = None) -> T
 
 def kernel_to_json(k: Kernel) -> dict:
     return {
-        "monad": k.inst.id,
+        "monad": _written_id(k.inst),
         "dom": finset_to_json(k.dom),
         "cod": finset_to_json(k.cod),
         "columns": {

@@ -38,8 +38,8 @@ class Kernel:
     """A Kleisli morphism dom -> cod for a fixed monad instance.
 
     Each column is a TValue that was validated where it was built (`make`)
-    or is the result of a closed monad operation, so only its monad and its
-    base are checked here."""
+    or is the result of a closed monad operation, so only its instance (by
+    key) and its base are checked here."""
 
     __slots__ = ("inst", "dom", "cod", "columns")
 
@@ -48,8 +48,8 @@ class Kernel:
         if len(columns) != len(dom):
             raise TypeMismatch("one column per domain element required")
         for col in columns:
-            if col.monad != inst.id:
-                raise TypeMismatch(f"column belongs to {col.monad}, kernel to {inst.id}")
+            if col.monad is not inst:
+                _same_instance(col.monad, inst)
             if col.base is not cod and col.base != cod:
                 raise TypeMismatch("column base does not match codomain")
         self.inst = inst

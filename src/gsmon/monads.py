@@ -56,16 +56,16 @@ _SAMPLE_SCALE = [0] + [_SAMPLE_DEN // d for d in range(1, SAMPLE_DEN_MAX + 1)]
 class TValue:
     """An element of TX for a concrete instance, in canonical form.
 
-    Immutable: assigning to or deleting a field raises FrozenInstanceError.
-    Two values are equal when their monad ids, their bases (compared by
-    elements, the same object first) and their payloads are.  The hash is
-    hash((monad, base, payload)) and must stay so: the iteration order of
-    sets and dicts of values, and so the bytes of outputs that list them,
-    follow from it."""
+    `monad` is the instance the value belongs to.  Immutable: assigning to
+    or deleting a field raises FrozenInstanceError.  Two values are equal
+    when their instances have one key (the same object first), their bases
+    are equal (compared by elements, the same object first) and their
+    payloads are.  The hash is hash((monad id, base, payload)): equal values
+    must hash alike, and equal keys have equal ids."""
 
     __slots__ = ("monad", "base", "payload")
 
-    def __init__(self, monad: str, base: FinSet, payload):
+    def __init__(self, monad: "MonadInstance", base: FinSet, payload):
         _set_monad(self, monad)
         _set_base(self, base)
         _set_payload(self, payload)
@@ -80,25 +80,22 @@ class TValue:
         if other.__class__ is not TValue:
             return NotImplemented
         return (
-            self.monad == other.monad
+            (self.monad is other.monad or self.monad.key == other.monad.key)
             and (self.base is other.base or self.base == other.base)
             and self.payload == other.payload
         )
 
     def __hash__(self) -> int:
-        return hash((self.monad, self.base, self.payload))
+        return hash((self.monad.id, self.base, self.payload))
 
     def __repr__(self) -> str:
-        return f"TValue(monad={self.monad!r}, base={self.base!r}, payload={self.payload!r})"
+        return f"TValue(monad={self.monad.id!r}, base={self.base!r}, payload={self.payload!r})"
 
     def __reduce__(self):
         return TValue, (self.monad, self.base, self.payload)
 
     def describe(self) -> str:
-        try:
-            return get_instance(self.monad).value_text(self)
-        except UnknownMonad:  # e.g. a writer monad over a monoid outside the library
-            return f"{self.monad}({self.payload!r})"
+        return self.monad.value_text(self)
 
 
 # The slots' own setters: __init__ fills the fields past the refusing __setattr__.
@@ -125,14 +122,14 @@ class MonadInstance:
         by `validate` (PayloadInvalid otherwise).  Every value that enters from
         outside the monad's own operations -- JSON, the enumerators, the
         samplers, solvers -- is built here."""
-        return TValue(self.id, base, self.validate(base, payload))
+        return TValue(self, base, self.validate(base, payload))
 
     def _value(self, base: FinSet, payload) -> TValue:
         """The value of an already canonical, valid `payload`, unchecked.
 
         Only the closed operations (`unit`, `map`, `extend`, `lax_c`, `zero`)
         use it: each maps valid values to a valid value."""
-        return TValue(self.id, base, payload)
+        return TValue(self, base, payload)
 
     def validate(self, base: FinSet, payload):
         raise NotImplementedError
@@ -175,6 +172,12 @@ class MonadInstance:
 
     def sample(self, base: FinSet, rng: random.Random) -> TValue:
         raise NotImplementedError
+
+    def _refuse_empty(self, base: FinSet) -> None:
+        """PayloadInvalid when `base` is empty and there is no zero: no value
+        exists there, so a sampler must not start drawing."""
+        if not base.elements and not self.has_zero:
+            raise PayloadInvalid(f"{self.id}: no value over the empty set {base.name}")
 
     def zero(self, base: FinSet) -> TValue:
         raise PayloadInvalid(f"{self.id} has no zero element")
@@ -377,6 +380,7 @@ class NonzeroMeasureMonad(_MeasureBase):
             raise PayloadInvalid("M*: zero table is not a valid value")
 
     def sample(self, base: FinSet, rng: random.Random) -> TValue:
+        self._refuse_empty(base)
         while True:
             try:
                 return super().sample(base, rng)
@@ -395,6 +399,7 @@ class DistributionMonad(_MeasureBase):
             raise PayloadInvalid("D: table does not sum to 1")
 
     def sample(self, base: FinSet, rng: random.Random) -> TValue:
+        self._refuse_empty(base)
         while True:
             nums = _sampled_nums(base, rng)
             total = sum(nums)
@@ -434,6 +439,7 @@ class IdentityMonad(MonadInstance):
             yield self.make(base, e)
 
     def sample(self, base: FinSet, rng: random.Random) -> TValue:
+        self._refuse_empty(base)
         return self.make(base, rng.choice(base.elements))
 
     def value_text(self, t: TValue) -> str:
@@ -488,6 +494,7 @@ class PowersetMonad(MonadInstance):
             yield self.make(base, subset)
 
     def sample(self, base: FinSet, rng: random.Random) -> TValue:
+        self._refuse_empty(base)
         while True:
             subset = frozenset(e for e in base if rng.random() < 0.5)
             if subset or self.has_zero:
@@ -572,6 +579,7 @@ class WriterMonad(MonadInstance):
                 yield self.make(base, (a, x))
 
     def sample(self, base: FinSet, rng: random.Random) -> TValue:
+        self._refuse_empty(base)
         return self.make(
             base, (rng.choice(self.monoid.elements), rng.choice(base.elements))
         )

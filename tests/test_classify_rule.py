@@ -161,6 +161,7 @@ def test_an_instance_without_classification_code_is_classified():
         "solver-asserted",
     )
     assert cls.note == "scalar 0 has no inverse; checked against 7 samples"
+    assert cls.witness.describe() == "Q{zero}"
 
 
 class _SampledF(FreeAbelianMonad):

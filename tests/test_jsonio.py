@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gsmon.errors import MalformedInput
+from gsmon.errors import MalformedInput, UnknownMonad
 from gsmon.finset import FinSet, product
 from gsmon.jsonio import (
     dump_json,
@@ -20,8 +20,8 @@ from gsmon.jsonio import (
     tvalue_to_json,
 )
 from gsmon.kernels import Kernel, sample_kernel
-from gsmon.monads import ALL_MONAD_IDS, FreeAbelianMonad, get_instance
-from gsmon.monoid import MONOID_LIBRARY, get_monoid
+from gsmon.monads import ALL_MONAD_IDS, FreeAbelianMonad, WriterMonad, classify, get_instance
+from gsmon.monoid import MONOID_LIBRARY, FiniteMonoid, get_monoid
 
 X = FinSet.of("X", ["x0", "x1"])
 Y = FinSet.of("Y", ["y0", "y1"])
@@ -119,6 +119,20 @@ def test_bounded_f_kernel_keeps_its_bound():
     again, _ = kernel_from_json(data)
     assert again == k
     assert again.inst.bound == 3
+
+
+def test_writers_refuse_an_id_that_reads_back_as_another_instance():
+    # AND renamed Z2 would read back as the library Z2 group writer, whose
+    # verdict differs; Z3 renamed C3 would not read back at all.
+    and_z2 = WriterMonad(FiniteMonoid.from_json(get_monoid("AND").to_json(), name="Z2"))
+    c3 = WriterMonad(FiniteMonoid.from_json(get_monoid("Z3").to_json(), name="C3"))
+    assert classify(and_z2).kind != classify(get_instance("writer:Z2")).kind
+    for inst in (and_z2, c3):
+        k = Kernel(inst, X, Y, [inst.make(Y, ("0", ("y0",))), inst.make(Y, ("1", ("y1",)))])
+        with pytest.raises(UnknownMonad, match=f"{inst.id} does not read back as this instance"):
+            kernel_to_json(k)
+        with pytest.raises(UnknownMonad, match=f"{inst.id} does not read back as this instance"):
+            tvalue_to_json(k.columns[0])
 
 
 def test_kernel_with_factor_codomain():

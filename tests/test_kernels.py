@@ -247,3 +247,16 @@ def test_kernels_over_two_writers_of_one_name_are_told_apart():
         assert sides == {repr(and_z2.key), repr(z2.key)}  # not "writer:Z2" twice
     with pytest.raises(TypeMismatch):
         equivalent(a, b)
+
+
+def test_a_kernel_refuses_a_column_of_another_writer_of_its_name():
+    and_z2 = WriterMonad(FiniteMonoid.from_json(get_monoid("AND").to_json(), name="Z2"))
+    z2 = get_instance("writer:Z2")
+    column = z2.make(A, ("1", ("a0",)))
+    assert column != and_z2.make(A, ("1", ("a0",)))
+    with pytest.raises(TypeMismatch, match="instance mismatch") as caught:
+        Kernel(and_z2, A, A, [column])
+    sides = set(str(caught.value).removeprefix("instance mismatch: ").split(" vs "))
+    assert sides == {repr(and_z2.key), repr(z2.key)}
+    # Another object with the same key is the same instance.
+    assert Kernel(get_instance("writer:Z2"), A, A, [column]).columns == (column,)

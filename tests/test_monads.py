@@ -1,8 +1,11 @@
 import copy
 import dataclasses
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -451,12 +454,12 @@ def _values_to_compare() -> list:
 
 
 def test_tvalue_equality_and_hash_are_the_frozen_dataclass_ones():
-    pairs = [(v, DataclassTValue(v.monad, v.base, v.payload)) for v in _values_to_compare()]
-    assert {v.monad for v, _ in pairs} == set(ALL_MONAD_IDS)
+    pairs = [(v, DataclassTValue(v.monad.id, v.base, v.payload)) for v in _values_to_compare()]
+    assert {v.monad.id for v, _ in pairs} == set(ALL_MONAD_IDS)
     for v, o in pairs:
         assert hash(v) == hash(o)
         assert repr(v) == repr(o).replace("DataclassTValue", "TValue", 1)
-        assert v != o and not v == (v.monad, v.base, v.payload)
+        assert v != o and not v == (v.monad.id, v.base, v.payload)
     # Values are equal only with equal payloads, so the pairs that can be
     # equal meet in the payload groups; the values over sets of size <= 1
     # are also compared all against all, across payloads and monads.
@@ -490,7 +493,7 @@ def _map_by_elements(inst, f: FinFun, t: TValue) -> TValue:
     nums = [0] * len(f.cod)
     for e, n in zip(t.base.elements, t.payload.nums):
         nums[f.cod.index(f(e))] += n
-    return TValue(inst.id, f.cod, Table(tuple(nums), t.payload.den))
+    return TValue(inst, f.cod, Table(tuple(nums), t.payload.den))
 
 
 @pytest.mark.parametrize("monad_id", ["M", "D", "F(B=2)"])
@@ -658,7 +661,44 @@ def test_registry_rejects_unknown_ids():
 def test_value_of_an_unregistered_instance_still_describes():
     custom = FiniteMonoid.from_json(get_monoid("Z2").to_json(), name="custom")
     t = WriterMonad(custom).unit(X, ("x1",))
-    assert t.describe().startswith("writer:custom(")
+    assert t.describe() == "writer:custom(0, x1)"
+
+
+# Sampling over the empty set where no value exists there.  Each run is a
+# subprocess, so that a sampler that draws forever fails on the timeout
+# instead of hanging the suite.
+EMPTY_SAMPLE = """
+import random, sys
+from gsmon.errors import PayloadInvalid
+from gsmon.finset import FinSet
+from gsmon.monads import get_instance
+try:
+    get_instance(sys.argv[1]).sample(FinSet.of("E", []), random.Random(1))
+except PayloadInvalid as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("monad_id", ["M*", "D", "P*"])
+def test_a_retrying_sampler_refuses_the_empty_set(monad_id):
+    src = os.path.dirname(os.path.dirname(monads.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", EMPTY_SAMPLE, monad_id],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{monad_id}: no value over the empty set E\n"
+
+
+def test_samplers_over_the_empty_set():
+    E = FinSet.of("E", [])
+    for monad_id in ALL_MONAD_IDS:
+        inst = get_instance(monad_id)
+        if inst.has_zero:
+            assert inst.sample(E, random.Random(1)) == inst.zero(E)
+        elif monad_id not in ("M*", "D", "P*"):  # the retrying ones run above
+            with pytest.raises(PayloadInvalid, match="no value over the empty set E"):
+                inst.sample(E, random.Random(1))
 
 
 @pytest.mark.parametrize("bound", [0, -1])

@@ -174,7 +174,7 @@ def test_lax_c_of_drawn_tables_is_the_reduced_outer_product(a, b):
     # lax_c is the same arithmetic for every table monad; signed entries and
     # any denominator exercise the gcd identity on all canonical tables.
     inst = get_instance("M")
-    t, u = (TValue(inst.id, SETS[len(x.nums)], x) for x in (a, b))
+    t, u = (TValue(inst, SETS[len(x.nums)], x) for x in (a, b))
     assert pair(inst.lax_c(t, u).payload) == old_lax_c(a, b)
 
 
