@@ -39,7 +39,7 @@ class Kernel:
 
     Each column is a TValue that was validated where it was built (`make`)
     or is the result of a closed monad operation, so only its instance (by
-    key) and its base are checked here."""
+    id) and its base are checked here."""
 
     __slots__ = ("inst", "dom", "cod", "columns")
 
@@ -63,14 +63,14 @@ class Kernel:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Kernel)
-            and self.inst.key == other.inst.key
+            and self.inst.id == other.inst.id
             and self.dom == other.dom
             and self.cod == other.cod
             and self.columns == other.columns
         )
 
     def __hash__(self) -> int:
-        return hash((self.inst.key, self.dom, self.cod, self.columns))
+        return hash((self.inst.id, self.dom, self.cod, self.columns))
 
     def describe(self) -> str:
         cols = ", ".join(
@@ -84,10 +84,9 @@ class Kernel:
 
 
 def _same_instance(a: MonadInstance, b: MonadInstance) -> None:
-    """TypeMismatch unless `a` and `b` have one key; equal ids show the keys."""
-    if a.key != b.key:
-        names = (a.id, b.id) if a.id != b.id else (a.key, b.key)
-        raise TypeMismatch("instance mismatch: {} vs {}".format(*names))
+    """TypeMismatch unless `a` and `b` have one id."""
+    if a.id != b.id:
+        raise TypeMismatch(f"instance mismatch: {a.id} vs {b.id}")
 
 
 def from_columns(inst, dom: FinSet, cod: FinSet, col: Callable[[Elem], TValue]) -> Kernel:
@@ -229,7 +228,7 @@ def equivalent(f: Kernel, g: Kernel) -> Optional[Kernel]:
     """The unique effect a with a.f = g, or None if f and g are not in the
     same orbit.  Candidate-then-verify: a := mass(f)^-1 . mass(g) is the only
     possibility because the scalar action is free."""
-    if f.dom != g.dom or f.cod != g.cod or f.inst.key != g.inst.key:
+    if f.dom != g.dom or f.cod != g.cod or f.inst.id != g.inst.id:
         raise TypeMismatch("equivalence requires parallel kernels")
     candidate = effect_mul(_inverse_mass(f)[1], mass(g))
     if scalar_action(candidate, f) == g:

@@ -9,6 +9,7 @@ satisfy the monad laws -- `check_monad_laws` verifies them.
 from __future__ import annotations
 
 import itertools
+import json
 import operator
 import random
 import re
@@ -18,6 +19,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
     ElementNotInSet,
+    InvalidMonoid,
     InvariantViolation,
     MalformedInput,
     NotEnumerable,
@@ -38,7 +40,7 @@ from .finset import (
     product,
     swap_fun,
 )
-from .monoid import FiniteMonoid
+from .monoid import MONOID_LIBRARY, FiniteMonoid, get_monoid
 from .rational import Table, _reduced, _table, format_rat, parse_rat
 from .report import CheckReport, require_mode
 
@@ -58,10 +60,10 @@ class TValue:
 
     `monad` is the instance the value belongs to.  Immutable: assigning to
     or deleting a field raises FrozenInstanceError.  Two values are equal
-    when their instances have one key (the same object first), their bases
+    when their instances have one id (the same object first), their bases
     are equal (compared by elements, the same object first) and their
     payloads are.  The hash is hash((monad id, base, payload)): equal values
-    must hash alike, and equal keys have equal ids."""
+    must hash alike."""
 
     __slots__ = ("monad", "base", "payload")
 
@@ -80,7 +82,7 @@ class TValue:
         if other.__class__ is not TValue:
             return NotImplemented
         return (
-            (self.monad is other.monad or self.monad.key == other.monad.key)
+            (self.monad is other.monad or self.monad.id == other.monad.id)
             and (self.base is other.base or self.base == other.base)
             and self.payload == other.payload
         )
@@ -103,17 +105,12 @@ _set_monad, _set_base, _set_payload = (TValue.__dict__[f].__set__ for f in TValu
 
 
 class MonadInstance:
-    """Descriptor of one commutative monad instance."""
+    """Descriptor of one commutative monad instance, identified by its `id`."""
 
     id: str = "?"
     enumerable: bool = False
     has_zero: bool = False  # admits an absorbing zero element of TX
     measure_like: bool = False
-
-    @property
-    def key(self):
-        """What defines the instance: its id (a writer monad adds its monoid)."""
-        return self.id
 
     # -- construction ------------------------------------------------------
 
@@ -523,6 +520,9 @@ class NonemptyPowersetMonad(PowersetMonad):
 class WriterMonad(MonadInstance):
     """A x - for a finite commutative monoid A.  Payload: (a_label, element).
 
+    The id names a library monoid, or else spells A out as its JSON, so it
+    reads back through `get_instance` as this instance.
+
     The closed operations build their results unchecked: a writer label times
     a writer label is a label of the monoid, read from `_times`."""
 
@@ -530,7 +530,8 @@ class WriterMonad(MonadInstance):
 
     def __init__(self, monoid: FiniteMonoid):
         self.monoid = monoid
-        self.id = f"writer:{monoid.name}"
+        spelled = json.dumps(monoid.to_json(), sort_keys=True, separators=(",", ":"))
+        self.id = f"writer:{monoid.name if MONOID_LIBRARY.get(monoid.name) == monoid else spelled}"
         labels = monoid.elements
         # (a, b) -> the label of a * b, for every pair of monoid elements.
         self._times = {
@@ -538,10 +539,6 @@ class WriterMonad(MonadInstance):
             for i, a in enumerate(labels)
             for j, b in enumerate(labels)
         }
-
-    @property
-    def key(self):
-        return self.id, self.monoid
 
     def validate(self, base: FinSet, payload):
         a, x = payload
@@ -733,8 +730,8 @@ _classify_cache: dict = {}
 
 
 def classification_of(inst: MonadInstance) -> Classification:
-    """classify() with default evidence parameters, memoized by `inst.key`."""
-    return _once(_classify_cache, inst.key, classify, inst)
+    """classify() with default evidence parameters, memoized by `inst.id`."""
+    return _once(_classify_cache, inst.id, classify, inst)
 
 
 # ---------------------------------------------------------------------------
@@ -1108,11 +1105,11 @@ def check_monad_laws(
 def get_instance(monad_id: str, bound: int = 16) -> MonadInstance:
     """Resolve a monad id like "M*", "writer:Z3" or "F" to an instance.
 
-    Plain "F" takes `bound`; "F(B=n)" carries its own bound n >= 1, so the
-    id of every instance resolves back to the same instance.
+    Plain "F" takes `bound`; "F(B=n)" carries its own bound n >= 1, and
+    "writer:{...}" spells its monoid as `FiniteMonoid.to_json` writes it
+    (InvalidMonoid if it does not), so the id of every instance resolves
+    back to the same instance.
     """
-    from .monoid import get_monoid
-
     key = monad_id.strip()
     simple = {
         "Id": IdentityMonad,
@@ -1125,9 +1122,16 @@ def get_instance(monad_id: str, bound: int = 16) -> MonadInstance:
     if key in simple:
         return simple[key]()
     if key.lower().startswith("writer:"):
+        name = key.split(":", 1)[1]
+        if name.startswith("{"):
+            try:
+                data = json.loads(name)
+            except (ValueError, RecursionError) as exc:
+                raise InvalidMonoid(f"writer id is not monoid JSON: {exc}") from None
+            return WriterMonad(FiniteMonoid.from_json(data))
         try:
-            return WriterMonad(get_monoid(key.split(":", 1)[1]))
-        except Exception as exc:
+            return WriterMonad(get_monoid(name))
+        except InvalidMonoid as exc:
             raise UnknownMonad(str(exc)) from None
     if key == "F":
         return FreeAbelianMonad(bound)

@@ -18,7 +18,8 @@ from .report import CheckReport
 
 @dataclass(frozen=True)
 class FiniteMonoid:
-    """A commutative monoid given by its Cayley table (entries are indices)."""
+    """A commutative monoid given by its Cayley table: distinct string labels,
+    and the unit and the table entries as int indices into them."""
 
     name: str
     elements: tuple
@@ -27,12 +28,16 @@ class FiniteMonoid:
 
     def __post_init__(self):
         n = len(self.elements)
+        if not isinstance(self.name, str) or not all(isinstance(e, str) for e in self.elements):
+            raise InvalidMonoid(f"{self.name!r}: the name and the element labels must be strings")
         if len(set(self.elements)) != n:
             raise InvalidMonoid(f"{self.name}: duplicate element labels")
-        if not 0 <= self.unit < n:
-            raise InvalidMonoid(f"{self.name}: unit index out of range")
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise InvalidMonoid(f"{self.name}: table is not {n}x{n}")
+        if type(self.unit) is not int or any(type(v) is not int for row in self.table for v in row):
+            raise InvalidMonoid(f"{self.name}: the unit and the table entries must be integers")
+        if not 0 <= self.unit < n:
+            raise InvalidMonoid(f"{self.name}: unit index out of range")
         for row in self.table:
             for v in row:
                 if not 0 <= v < n:
@@ -56,26 +61,31 @@ class FiniteMonoid:
         return self.table[a][b]
 
     def label(self, i: int) -> str:
-        return str(self.elements[i])
+        return self.elements[i]
 
     def index(self, label: str) -> int:
         return self.elements.index(label)
 
     def to_json(self) -> dict:
         return {
+            "name": self.name,
             "elements": list(self.elements),
             "unit": self.unit,
             "table": [list(row) for row in self.table],
         }
 
     @classmethod
-    def from_json(cls, data: dict, name: str = "monoid") -> "FiniteMonoid":
-        return cls(
-            name,
-            tuple(data["elements"]),
-            int(data["unit"]),
-            tuple(tuple(int(v) for v in row) for row in data["table"]),
-        )
+    def from_json(cls, data) -> "FiniteMonoid":
+        """The monoid that `to_json` wrote; any other input is InvalidMonoid."""
+        try:
+            name, elements, unit, table = (data[k] for k in ("name", "elements", "unit", "table"))
+            if not isinstance(elements, list) or not all(isinstance(r, list) for r in table):
+                raise TypeError("elements and table rows must be lists")
+            return cls(name, tuple(elements), unit, tuple(map(tuple, table)))
+        except KeyError as exc:
+            raise InvalidMonoid(f"monoid JSON missing field {exc}") from None
+        except TypeError as exc:
+            raise InvalidMonoid(f"bad monoid JSON: {exc}") from None
 
 
 def is_group(m: FiniteMonoid) -> tuple:

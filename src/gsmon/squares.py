@@ -92,13 +92,13 @@ class Square:
             self._apexes = index
         return self._apexes
 
-    def mediator(self, u, v):
-        """The unique apex over the cone (u, v), or None: read from the apex
-        index of an enumerable instance, else asked of the solver."""
-        if not self.inst.enumerable:
-            return self.solver(u, v)
-        found = self.apex_index().get((u, v), ())
-        return found[0] if len(found) == 1 else None
+    def mediators(self, u, v) -> Sequence:
+        """The apexes over the cone (u, v): every one, read from the apex
+        index of an enumerable instance; else the solver's one apex, or none."""
+        if self.inst.enumerable:
+            return self.apex_index().get((u, v), ())
+        t = self.solver(u, v)
+        return () if t is None else (t,)
 
 
 def _enumerate_corner(inst, corner) -> Iterator[tuple]:
@@ -195,10 +195,11 @@ def check_pullback(
         u, v = cones[i] if i < len(cones) else square.cone_sampler(rng)
         if square.right(u) != square.bottom(v):
             raise InvariantViolation(f"{square.name}: cone sampler produced an incompatible cone")
-        t = square.mediator(u, v)
-        if t is None:
-            witness = {"cone": [list(u), list(v)], "mediators": 0}
+        found = square.mediators(u, v)
+        if len(found) != 1:
+            witness = {"cone": [list(u), list(v)], "mediators": len(found)}
             return CheckReport.of_run(name, mode, total, seed, passed=False, witness=witness)
+        t = found[0]
         if square.top(t) != u or square.left(t) != v:
             raise InvariantViolation(f"{square.name}: solver output fails projections")
     note = f"no counterexample found in {total} solver-verified cones"

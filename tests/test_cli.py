@@ -81,6 +81,38 @@ def test_malformed_f_id_exits_2(capsys, monad_id):
     assert "unknown monad id" in capsys.readouterr().err
 
 
+AND_AS_Z2 = '{"elements":["0","1"],"name":"Z2","table":[[0,0],[0,1]],"unit":1}'
+
+
+def test_classify_a_writer_over_a_spelled_monoid(capsys):
+    code, doc = run_json(capsys, "classify", "--monad", f"writer:{AND_AS_Z2}")
+    assert code == 0
+    assert doc["checks"][0]["name"] == f"classify[writer:{AND_AS_Z2}]"
+    assert doc["checks"][0]["kind"] == "not_weakly_affine"
+
+
+@pytest.mark.parametrize(
+    "spelled",
+    [
+        '{"elements":["0","1"],"name":"x"',  # not JSON
+        '{"elements":["0","1"],"name":"x","table":[[0,1],[1,0.0]],"unit":0}',
+        '{"elements":["0","1"],"name":"x","table":[[0,1],[1,0]],"unit":false}',
+        '{"elements":[0,1],"name":"x","table":[[0,1],[1,0]],"unit":0}',
+        '{"elements":["0","1"],"name":"x","table":[[0,1],[1,1]],"unit":1}',  # no unit
+        '{"elements":["0","1"],"name":"x","table":[[0,1]],"unit":0}',
+        '{"elements":["0","1"],"name":"x","unit":0}',
+        "[1, 2]",
+        '{"name":' + "[" * 100000,
+    ],
+    ids=["not-json", "float", "bool", "int-labels", "not-a-monoid", "not-square",
+         "no-table", "a-list", "nested-past-the-recursion-limit"],
+)
+def test_a_malformed_spelled_writer_id_exits_2(capsys, spelled):
+    assert main(["classify", "--monad", f"writer:{spelled}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gsmon: error: ") and "Traceback" not in err
+
+
 # An M* assoc pullback whose solver returns a wrong middle factor.
 BOGUS_SOLVER_RUN = """
 import sys

@@ -186,15 +186,18 @@ def test_classification_is_kept_per_writer_monoid():
     # exhaustive search for the second instead of the equivalence method.
     over_z2 = WriterMonad(dataclasses.replace(get_monoid("Z2"), name="M2"))
     over_and = WriterMonad(dataclasses.replace(get_monoid("AND"), name="M2"))
-    assert over_z2.id == over_and.id == "writer:M2"
+    assert over_z2.id != over_and.id
+    assert {over_z2.id[:8], over_and.id[:8]} == {"writer:{"}
     assert classification_of(over_z2).kind == "weakly_affine_not_affine"
     assert classification_of(over_and).kind == "not_weakly_affine"
     cod = product([X, Y])
     f = Kernel(over_and, A, cod, [over_and.make(cod, ("0", ("x0", "y0")))])
     assert check_ci(f, [X, Y], [[0], [1]]).method == "exhaustive_search"
-    # The key is equal across instances resolved from one id, so a verdict
-    # found once serves every later instance.
-    assert get_instance("writer:Z2").key == get_instance("writer:Z2").key
+    # Instances resolved from one id share it, so a verdict found once
+    # serves every later instance.
+    assert classification_of(get_instance("writer:Z2")) is classification_of(
+        get_instance("writer:Z2")
+    )
 
 
 def test_local_independence_vacuous_case():

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -14,13 +16,18 @@ from gsmon.jsonio import (
     kernel_from_json,
     kernel_to_json,
     load_json,
-    monoid_from_json,
-    monoid_to_json,
     tvalue_from_json,
     tvalue_to_json,
 )
 from gsmon.kernels import Kernel, sample_kernel
-from gsmon.monads import ALL_MONAD_IDS, FreeAbelianMonad, WriterMonad, classify, get_instance
+from gsmon.monads import (
+    ALL_MONAD_IDS,
+    FreeAbelianMonad,
+    MeasureMonad,
+    WriterMonad,
+    classify,
+    get_instance,
+)
 from gsmon.monoid import MONOID_LIBRARY, FiniteMonoid, get_monoid
 
 X = FinSet.of("X", ["x0", "x1"])
@@ -35,7 +42,9 @@ def test_finset_round_trip():
 
 def test_monoid_round_trip():
     m = get_monoid("Z2xZ2")
-    assert monoid_from_json(monoid_to_json(m)) == m
+    data = json.loads(json.dumps(m.to_json()))
+    assert data["name"] == "Z2xZ2"
+    assert FiniteMonoid.from_json(data) == m
 
 
 @pytest.mark.parametrize(
@@ -121,18 +130,36 @@ def test_bounded_f_kernel_keeps_its_bound():
     assert again.inst.bound == 3
 
 
-def test_writers_refuse_an_id_that_reads_back_as_another_instance():
-    # AND renamed Z2 would read back as the library Z2 group writer, whose
-    # verdict differs; Z3 renamed C3 would not read back at all.
-    and_z2 = WriterMonad(FiniteMonoid.from_json(get_monoid("AND").to_json(), name="Z2"))
-    c3 = WriterMonad(FiniteMonoid.from_json(get_monoid("Z3").to_json(), name="C3"))
-    assert classify(and_z2).kind != classify(get_instance("writer:Z2")).kind
+def test_writers_round_trip_a_writer_over_a_renamed_monoid():
+    # AND renamed Z2 keeps AND's table and verdict, instead of reading back
+    # as the library Z2 group writer; Z3 renamed C3, outside the library,
+    # reads back too.
+    and_z2 = WriterMonad(dataclasses.replace(get_monoid("AND"), name="Z2"))
+    c3 = WriterMonad(dataclasses.replace(get_monoid("Z3"), name="C3"))
     for inst in (and_z2, c3):
+        assert inst.id.startswith("writer:{") and inst.id != "writer:Z2"
         k = Kernel(inst, X, Y, [inst.make(Y, ("0", ("y0",))), inst.make(Y, ("1", ("y1",)))])
-        with pytest.raises(UnknownMonad, match=f"{inst.id} does not read back as this instance"):
-            kernel_to_json(k)
-        with pytest.raises(UnknownMonad, match=f"{inst.id} does not read back as this instance"):
-            tvalue_to_json(k.columns[0])
+        data = json.loads(json.dumps(kernel_to_json(k)))
+        assert data["monad"] == inst.id
+        again, _ = kernel_from_json(data)
+        assert again == k and again.inst.monoid == inst.monoid
+        value = tvalue_from_json(json.loads(json.dumps(tvalue_to_json(k.columns[0]))), base=Y)
+        assert value == k.columns[0] and value.monad.monoid == inst.monoid
+        assert classify(again.inst).kind == classify(inst).kind
+    assert classify(and_z2).kind == "not_weakly_affine"
+    assert classify(get_instance("writer:Z2")).kind == "weakly_affine_not_affine"
+
+
+def test_writers_refuse_an_id_that_does_not_read_back():
+    class Q(MeasureMonad):
+        id = "Q"
+
+    inst = Q()
+    t = inst.make(X, (Fraction(1), Fraction(0)))
+    with pytest.raises(UnknownMonad, match="Q does not read back"):
+        tvalue_to_json(t)
+    with pytest.raises(UnknownMonad, match="Q does not read back"):
+        kernel_to_json(Kernel(inst, X, X, [t, t]))
 
 
 def test_kernel_with_factor_codomain():
@@ -191,3 +218,52 @@ def test_dump_and_load(tmp_path):
 
 def test_dump_is_key_sorted():
     assert dump_json({"b": 1, "a": 2}).index('"a"') < dump_json({"b": 1, "a": 2}).index('"b"')
+
+
+# Every commutative monoid of order <= 4, as a Cayley table on 0..n-1 with
+# unit 0: the 106 tables, each under a library name of its order (Z<n>),
+# under a name outside the library (C) and under the name of another
+# library monoid (AND).
+
+
+def commutative_tables(n: int):
+    """Every commutative, associative table on 0..n-1 with unit 0."""
+    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+    for values in itertools.product(range(n), repeat=len(cells)):
+        t = [[i if j == 0 else j if i == 0 else None for j in range(n)] for i in range(n)]
+        for (i, j), v in zip(cells, values):
+            t[i][j] = t[j][i] = v
+        if all(t[t[a][b]][c] == t[a][t[b][c]] for a in range(n) for b in range(n) for c in range(n)):
+            yield tuple(map(tuple, t))
+
+
+ALL_SMALL_MONOIDS = [
+    FiniteMonoid(name, tuple(str(i) for i in range(n)), 0, table)
+    for n in range(1, 5)
+    for table in commutative_tables(n)
+    for name in (f"Z{n}", "C", "AND")
+]
+
+
+def test_there_are_106_commutative_monoid_tables_of_order_at_most_4():
+    assert len(ALL_SMALL_MONOIDS) == 3 * 106
+
+
+def test_every_writer_over_a_small_monoid_round_trips():
+    A = FinSet.of("A", ["a0", "a1"])
+    named = set()
+    for m in ALL_SMALL_MONOIDS:
+        inst = WriterMonad(m)
+        if "{" not in inst.id:
+            named.add(inst.id)
+        again = get_instance(inst.id)
+        assert again.id == inst.id and again.monoid == m
+        assert (inst.id == f"writer:{m.name}") == (MONOID_LIBRARY.get(m.name) == m)
+        labels = m.elements
+        k = Kernel(inst, A, Y, [inst.make(Y, (labels[-1], ("y1",))), inst.make(Y, (labels[0], ("y0",)))])
+        read, _ = kernel_from_json(json.loads(json.dumps(kernel_to_json(k))))
+        assert read == k and read.inst.monoid == m
+        t = k.columns[0]
+        assert tvalue_from_json(json.loads(json.dumps(tvalue_to_json(t))), base=Y) == t
+    assert named == {"writer:Z1", "writer:Z2", "writer:Z3", "writer:Z4"}
+

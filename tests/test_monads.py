@@ -659,9 +659,10 @@ def test_registry_rejects_unknown_ids():
 
 
 def test_value_of_an_unregistered_instance_still_describes():
-    custom = FiniteMonoid.from_json(get_monoid("Z2").to_json(), name="custom")
+    custom = dataclasses.replace(get_monoid("Z2"), name="custom")
     t = WriterMonad(custom).unit(X, ("x1",))
-    assert t.describe() == "writer:custom(0, x1)"
+    spelled = '{"elements":["0","1"],"name":"custom","table":[[0,1],[1,0]],"unit":0}'
+    assert t.describe() == f"writer:{spelled}(0, x1)"
 
 
 # Sampling over the empty set where no value exists there.  Each run is a

@@ -72,5 +72,51 @@ def test_invalid_tables_rejected():
 
 def test_json_round_trip():
     m = get_monoid("Z4mult")
-    again = FiniteMonoid.from_json(m.to_json(), name=m.name)
+    again = FiniteMonoid.from_json(m.to_json())
     assert again == m
+    assert m.to_json()["name"] == "Z4mult"
+
+
+# The reader takes only what `to_json` writes: labels that are distinct
+# strings, and a unit and table entries that are ints, not bools or floats.
+GOOD = {"name": "x", "elements": ["0", "1"], "unit": 0, "table": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"table": [[0, 1.9], ["1", True]]},
+        {"table": [[0, 1], [1, 0.0]]},
+        {"table": [[0, 1], [1, False]]},
+        {"table": [[0, "1"], [1, 0]]},
+        {"unit": False},
+        {"unit": 0.0},
+        {"unit": "0"},
+        {"elements": [0, 1]},
+        {"elements": ["0", "0"]},
+        {"elements": "01"},
+        {"table": [[0, 1], 5]},
+        {"table": [[0, 1], [1, 2]]},
+        {"table": [[0, 1], [0, 0]]},
+        {"name": 5},
+    ],
+)
+def test_the_monoid_reader_refuses_what_to_json_does_not_write(change):
+    assert FiniteMonoid.from_json(GOOD).to_json() == GOOD
+    with pytest.raises(InvalidMonoid):
+        FiniteMonoid.from_json(dict(GOOD, **change))
+
+
+@pytest.mark.parametrize("data", [None, [], "x", {"elements": ["0"], "unit": 0, "table": [[0]]}])
+def test_the_monoid_reader_refuses_a_document_of_another_shape(data):
+    with pytest.raises(InvalidMonoid):
+        FiniteMonoid.from_json(data)
+
+
+def test_a_monoid_refuses_labels_that_are_not_strings():
+    # Int labels once passed, and the writer's unit label '0' then failed
+    # its own `make` with a raw KeyError in the law check.
+    with pytest.raises(InvalidMonoid, match="must be strings"):
+        FiniteMonoid("Y2", (0, 1), 0, ((0, 1), (1, 0)))
+    with pytest.raises(InvalidMonoid, match="must be integers"):
+        FiniteMonoid("Y2", ("0", "1"), True, ((0, 1), (1, 0)))

@@ -341,8 +341,27 @@ def test_search_solver_matches_the_scan_on_every_cone():
     for u, v in compatible_cones(square):
         found = scan_mediators(apexes, u, v)
         counts.add(min(len(found), 2))
-        assert square.mediator(u, v) == (found[0] if len(found) == 1 else None)
+        assert list(square.mediators(u, v)) == found
     assert counts == {0, 1, 2}
+
+
+@pytest.mark.parametrize(
+    "monad_id,sizes",
+    [("P", (1, 1, 1)), ("P", (2, 2, 2)), ("writer:AND", (1, 1, 1)),
+     ("writer:AND", (2, 2, 2)), ("F(B=1)", (1, 1, 1))],
+)
+def test_a_randomized_pullback_reports_every_mediator_of_its_failing_cone(monad_id, sizes):
+    # Over an enumerable instance the failing cone's count is read from the
+    # index, as the exhaustive check reads it, not reported as 0.
+    square = build_square("assoc", get_instance(monad_id), sizes)
+    apexes = projected_apexes(square)
+    counts = set()
+    for seed in range(1, 6):
+        report = check_pullback(square, mode="randomized", trials=200, seed=seed)
+        u, v = map(tuple, report.witness["cone"])
+        assert report.witness["mediators"] == len(scan_mediators(apexes, u, v)) != 1
+        counts.add(report.witness["mediators"])
+    assert max(counts) >= 2
 
 
 def test_search_solver_indexes_the_apexes_on_its_first_call():
@@ -353,9 +372,9 @@ def test_search_solver_indexes_the_apexes_on_its_first_call():
     apexes = len(list(_enumerate_corner(square.inst, square.tl)))
     u, v = square.cone_sampler(random.Random(1))
     assert calls == []
-    assert square.mediator(u, v) is not None
+    assert square.mediators(u, v)
     assert len(calls) == apexes
-    assert square.mediator(u, v) is not None
+    assert square.mediators(u, v)
     assert len(calls) == apexes
 
 
