@@ -160,9 +160,9 @@ def _emit_check(args, config: dict, entry: dict, reference: str) -> int:
 
 def cmd_classify(args) -> int:
     ids = ALL_MONAD_IDS if args.all or not args.monad else [args.monad]
+    instances = [get_instance(monad_id, bound=args.bound) for monad_id in ids]
     checks = []
-    for monad_id in ids:
-        inst = get_instance(monad_id, bound=args.bound)
+    for inst in instances:
         cls = classify(inst, trials=args.trials, seed=args.seed)
         entry = cls.to_json()
         entry["name"] = f"classify[{inst.id}]"
@@ -174,7 +174,7 @@ def cmd_classify(args) -> int:
         checks.append(entry)
     config = {
         "command": "classify",
-        "monads": ids,
+        "monads": [inst.id for inst in instances],
         "trials": args.trials,
         "seed": args.seed,
         "bound": args.bound,

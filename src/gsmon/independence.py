@@ -5,8 +5,8 @@ of a partition of its output coordinates when it is a copy followed by a
 tensor of factor kernels, one per block.  Three decision procedures are
 provided: the equivalence method (weakly Markov instances: f is CI iff it is
 a scalar multiple of the product of its marginals), an exact rank-one outer
-product test for measure-like payloads, and brute-force factor search for
-enumerable instances.
+product test by the instance (`rank_one_factors`: M, M* and D), and
+brute-force factor search for enumerable instances.
 """
 
 from __future__ import annotations
@@ -122,12 +122,10 @@ def check_ci(
     if method == "auto":
         if classification_of(inst).weakly_affine:
             method = "equivalence"
-        elif inst.measure_like:
-            method = "rank1"
         elif inst.enumerable:
             method = "exhaustive"
         else:
-            raise MethodInapplicable(f"no CI method applies to {inst.id}")
+            method = "rank1"
 
     if method == "equivalence":
         result = _ci_equivalence(f, factors, partition)
@@ -165,32 +163,14 @@ def _in_block_order(f: Kernel, factors, partition) -> tuple:
 
 
 def _ci_rank1(f: Kernel, factors, partition) -> CIResult:
-    """Exact outer-product test, columnwise.
-
-    A nonnegative table over blocks of sizes s_1..s_n is an outer product
-    iff it is zero, or the rank-one identity holds at its first non-zero
-    index (`Table.outer_factors`); the slices through that index then give
-    exact factor vectors.
-    """
-    if not f.inst.measure_like:
-        raise MethodInapplicable(f"rank1 method needs a measure-like payload, not {f.inst.id}")
-    inst = f.inst
+    """Exact outer-product test, columnwise, by the instance's `rank_one_factors`."""
     blocks, columns = _in_block_order(f, factors, partition)
-    sizes = [len(b) for b in blocks]
-    factor_columns = [[] for _ in blocks]
-    for col in columns:
-        tables, failure = col.payload.outer_factors(sizes)
-        if failure is not None:
-            index = [b.elements[i] for b, i in zip(blocks, failure)]
-            witness = {"column": "outer-product identity fails", "index": index}
-            return CIResult(False, "rank1", witness=witness)
-        if classification_of(inst).kind == "affine":
-            # Every value has mass one, so the factors must too; each
-            # factor is proportional to the true factor, so renormalize.
-            tables = [t.normalized() for t in tables]
-        for column, block, table in zip(factor_columns, blocks, tables):
-            column.append(inst.make(block, table))
-    cert = [Kernel(inst, f.dom, b, column) for b, column in zip(blocks, factor_columns)]
+    factor_columns, failure = f.inst.rank_one_factors(columns, blocks)
+    if failure is not None:
+        index = [b.elements[i] for b, i in zip(blocks, failure)]
+        witness = {"column": "outer-product identity fails", "index": index}
+        return CIResult(False, "rank1", witness=witness)
+    cert = [Kernel(f.inst, f.dom, b, column) for b, column in zip(blocks, factor_columns)]
     return CIResult(True, "rank1", certificate=cert)
 
 

@@ -22,6 +22,7 @@ from .errors import (
     InvalidMonoid,
     InvariantViolation,
     MalformedInput,
+    MethodInapplicable,
     NotEnumerable,
     OutOfBound,
     PayloadInvalid,
@@ -53,6 +54,14 @@ SAMPLE_DEN_MAX = 4
 # _SAMPLE_DEN: a drawn n / d is n * _SAMPLE_SCALE[d] / _SAMPLE_DEN.
 _SAMPLE_DEN = lcm(*range(1, SAMPLE_DEN_MAX + 1))
 _SAMPLE_SCALE = [0] + [_SAMPLE_DEN // d for d in range(1, SAMPLE_DEN_MAX + 1)]
+
+
+def _nonzero_scalar(rng) -> tuple:
+    return rng.randint(1, SAMPLE_NUM_MAX), rng.randint(1, SAMPLE_DEN_MAX)
+
+
+def _scale(inst, t: TValue, p: int, q: int) -> TValue:
+    return inst.make(t.base, t.payload.scaled(p, q))
 
 
 class TValue:
@@ -110,7 +119,6 @@ class MonadInstance:
     id: str = "?"
     enumerable: bool = False
     has_zero: bool = False  # admits an absorbing zero element of TX
-    measure_like: bool = False
 
     # -- construction ------------------------------------------------------
 
@@ -193,6 +201,22 @@ class MonadInstance:
     def t1_candidates(self) -> list:
         """Elements of T1 that `classify` tries first: the zero, if any."""
         return [self.zero(UNIT)] if self.has_zero else []
+
+    def assoc_solver(self, y: FinSet, z: FinSet) -> Optional[Callable]:
+        """The mediator solver of the assoc square on (X, Y, Z), a cone to its
+        one apex or None; none here, so a randomized check needs an enumerator."""
+        return None
+
+    def rescaled_cone(self, u: tuple, v: tuple, rng: random.Random) -> tuple:
+        """A sampled assoc cone (u, v), moved to a cone with the same images
+        under c; this one keeps it and draws nothing."""
+        return u, v
+
+    def rank_one_factors(self, columns: Sequence[TValue], blocks: Sequence[FinSet]) -> tuple:
+        """Each column over the product of `blocks` as one exact factor per block:
+        (the factor values per block, None), or (None, the first failing index
+        of the first column that is no outer product).  Refused here, up front."""
+        raise MethodInapplicable(f"rank1 method needs a measure-like payload, not {self.id}")
 
     def _check_x(self, base: FinSet, x: Elem) -> int:
         """The index of x in `base`; ElementNotInSet if x is not in it."""
@@ -343,8 +367,6 @@ def _sampled_nums(base: FinSet, rng: random.Random) -> list:
 class _MeasureBase(_TableMonad):
     """Nonnegative rational tables for M, M* and D."""
 
-    measure_like = True
-
     def _check_table(self, table: Table) -> None:
         if min(table.nums, default=0) < 0:
             raise PayloadInvalid(f"{self.id}: negative entry")
@@ -356,6 +378,70 @@ class _MeasureBase(_TableMonad):
         if t.payload.pivot() is None:
             return None
         return self.make(UNIT, Table((1,)).over((0,), t.payload, 0))
+
+    def assoc_solver(self, y: FinSet, z: FinSet) -> Callable:
+        ny, nz, nyz = len(y), len(z), len(y) * len(z)
+
+        def measure_solver(u, v):
+            """Mediating triple for the measures.
+
+            The X and Z components are forced by the projections; the Y
+            component is pinned by any non-zero coordinate of t_z (or of t_x),
+            then verified globally against both equations.
+            """
+            t_x, t_yz = u
+            t_xy, t_z = v
+            # Products list their elements lexicographically: the Y slice of
+            # YxZ at z0 or of XxY at x0, over that pivot entry.
+            z0, x0 = t_z.payload.pivot(), t_x.payload.pivot()
+            if z0 is not None:
+                by_table = t_yz.payload.over(range(z0, nyz, nz), t_z.payload, z0)
+            elif x0 is not None:
+                by_table = t_xy.payload.over(range(x0 * ny, (x0 + 1) * ny), t_x.payload, x0)
+            else:
+                # t_x = t_z = 0: every Y value mediates or none does; report failure.
+                return None
+            try:
+                by = self.make(y, by_table)
+            except PayloadInvalid:
+                return None
+            c = self.lax_c
+            return (t_x, by, t_z) if c(by, t_z) == t_yz and c(t_x, by) == t_xy else None
+
+        return measure_solver
+
+    def rescaled_cone(self, u: tuple, v: tuple, rng: random.Random) -> tuple:
+        """Each leg's halves scaled by p / q and q / p, a non-zero p / q drawn per
+        leg: c cancels them, and the unequal scalings move the mediator off the
+        sampled apex.  The cone as given when a scaled half is no value (in D)."""
+        (p1, q1), (p2, q2) = _nonzero_scalar(rng), _nonzero_scalar(rng)
+        try:
+            scaled_u = (_scale(self, u[0], p1, q1), _scale(self, u[1], q1, p1))
+            return scaled_u, (_scale(self, v[0], p2, q2), _scale(self, v[1], q2, p2))
+        except PayloadInvalid:
+            return u, v
+
+    def rank_one_factors(self, columns: Sequence[TValue], blocks: Sequence[FinSet]) -> tuple:
+        """Exact outer-product test, columnwise.
+
+        A nonnegative table over blocks of sizes s_1..s_n is an outer product
+        iff it is zero, or the rank-one identity holds at its first non-zero
+        index (`Table.outer_factors`); the slices through that index then give
+        exact factor vectors.
+        """
+        sizes = [len(b) for b in blocks]
+        factor_columns = [[] for _ in blocks]
+        for col in columns:
+            tables, failure = col.payload.outer_factors(sizes)
+            if failure is not None:
+                return None, failure
+            if classification_of(self).kind == "affine":
+                # Every value has mass one, so the factors must too; each
+                # factor is proportional to the true factor, so renormalize.
+                tables = [t.normalized() for t in tables]
+            for column, block, table in zip(factor_columns, blocks, tables):
+                column.append(self.make(block, table))
+        return factor_columns, None
 
 
 class MeasureMonad(_MeasureBase):

@@ -6,8 +6,8 @@ positivity square (discard vs. strength).  Corners are finite products of
 plain finite sets and T-carriers; pullbacks are checked exhaustively where
 every corner is enumerable, and otherwise by seeded sampling of compatible
 cones whose mediating apex, read from the square's apex index (enumerable
-instances) or from its hand-written solver (the others), is re-verified
-against both projection equations.
+instances) or from the solver the instance gives (`assoc_solver`), is
+re-verified against both projection equations.
 
 A randomized "pass" means "no counterexample found in N trials", never a
 proof.
@@ -30,23 +30,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import (
-    InvariantViolation,
-    MalformedInput,
-    NoSolverForRandomized,
-    NotEnumerable,
-    PayloadInvalid,
-)
+from .errors import InvariantViolation, MalformedInput, NoSolverForRandomized, NotEnumerable
 from .finset import FinSet, UNIT, fun_from_callable, product, projection_fun
 from .kernels import Kernel, enumerate_kernels, sample_kernel, try_effect_inverse
-from .monads import (
-    MonadInstance,
-    SAMPLE_DEN_MAX,
-    SAMPLE_NUM_MAX,
-    TValue,
-    budgeted_product,
-    classification_of,
-)
+from .monads import MonadInstance, budgeted_product, classification_of
 from .report import CheckReport, require_mode
 
 
@@ -210,14 +197,6 @@ def check_pullback(
 # Square builders
 
 
-def _scale(inst, t: TValue, p: int, q: int) -> TValue:
-    return inst.make(t.base, t.payload.scaled(p, q))
-
-
-def _nonzero_scalar(rng) -> tuple:
-    return rng.randint(1, SAMPLE_NUM_MAX), rng.randint(1, SAMPLE_DEN_MAX)
-
-
 def assoc_square(inst: MonadInstance, x: FinSet, y: FinSet, z: FinSet) -> Square:
     """The associativity square of c on (X, Y, Z), with flattened products."""
     c = inst.lax_c
@@ -237,48 +216,8 @@ def assoc_square(inst: MonadInstance, x: FinSet, y: FinSet, z: FinSet) -> Square
             q = c(inst.sample(x, rng), inst.sample(y, rng))
             if p != inst.zero(p.base) and q != inst.zero(q.base):
                 return (inst.zero(x), p), (q, inst.zero(z))
-        tx, ty, tz = inst.sample(x, rng), inst.sample(y, rng), inst.sample(z, rng)
-        u = top((tx, ty, tz))
-        v = left((tx, ty, tz))
-        if inst.measure_like:
-            (p1, q1), (p2, q2) = _nonzero_scalar(rng), _nonzero_scalar(rng)
-            try:
-                u = (_scale(inst, u[0], p1, q1), _scale(inst, u[1], q1, p1))
-                v = (_scale(inst, v[0], p2, q2), _scale(inst, v[1], q2, p2))
-            except PayloadInvalid:
-                u = top((tx, ty, tz))
-                v = left((tx, ty, tz))
-        return u, v
-
-    ny, nz, nyz = len(y), len(z), len(yz)
-
-    def measure_solver(u, v):
-        """Mediating triple for measure-like instances.
-
-        The X and Z components are forced by the projections; the Y
-        component is pinned by any non-zero coordinate of t_z (or of t_x),
-        then verified globally against both equations.
-        """
-        t_x, t_yz = u
-        t_xy, t_z = v
-        # Products list their elements lexicographically: the Y slice of
-        # YxZ at z0 or of XxY at x0, over that pivot entry.
-        z0, x0 = t_z.payload.pivot(), t_x.payload.pivot()
-        if z0 is not None:
-            by_table = t_yz.payload.over(range(z0, nyz, nz), t_z.payload, z0)
-        elif x0 is not None:
-            by_table = t_xy.payload.over(range(x0 * ny, (x0 + 1) * ny), t_x.payload, x0)
-        else:
-            # t_x = t_z = 0: every Y value mediates or none does; report failure.
-            return None
-        try:
-            by = inst.make(y, by_table)
-        except PayloadInvalid:
-            return None
-        t = (t_x, by, t_z)
-        if top(t) == u and left(t) == v:
-            return t
-        return None
+        t = inst.sample(x, rng), inst.sample(y, rng), inst.sample(z, rng)
+        return inst.rescaled_cone(top(t), left(t), rng)
 
     square = Square(
         name=f"assoc[{inst.id};{len(x)},{len(y)},{len(z)}]",
@@ -292,15 +231,14 @@ def assoc_square(inst: MonadInstance, x: FinSet, y: FinSet, z: FinSet) -> Square
         right=right,
         bottom=bottom,
         cone_sampler=sampler,
+        solver=inst.assoc_solver(y, z),
     )
-    if inst.measure_like:
-        square.solver = measure_solver
-        if inst.has_zero:
-            # Deterministic first cone: the textbook counterexample shape
-            # ((0, p), (q, 0)) with p, q non-zero.
-            p = c(inst.unit(y, y.elements[0]), inst.unit(z, z.elements[0]))
-            q = c(inst.unit(x, x.elements[0]), inst.unit(y, y.elements[0]))
-            square.degenerate_cones = [((inst.zero(x), p), (q, inst.zero(z)))]
+    if square.solver is not None and inst.has_zero:
+        # Deterministic first cone: the textbook counterexample shape
+        # ((0, p), (q, 0)) with p, q non-zero.
+        p = c(inst.unit(y, y.elements[0]), inst.unit(z, z.elements[0]))
+        q = c(inst.unit(x, x.elements[0]), inst.unit(y, y.elements[0]))
+        square.degenerate_cones = [((inst.zero(x), p), (q, inst.zero(z)))]
     return square
 
 

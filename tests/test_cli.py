@@ -92,6 +92,23 @@ def test_classify_a_writer_over_a_spelled_monoid(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, monad_id",
+    [
+        (("--monad", " Writer:Z2"), "writer:Z2"),
+        (("--monad", "F", "--bound", "3"), "F(B=3)"),
+        (("--all", "--bound", "3"), "F(B=3)"),
+    ],
+    ids=["spaced-and-capitalised", "bounded-F", "all-with-a-bound"],
+)
+def test_classify_records_the_id_of_each_instance(capsys, argv, monad_id):
+    code, doc = run_json(capsys, "classify", *argv)
+    assert code == 0
+    names = [c["name"] for c in doc["checks"]]
+    assert names == [f"classify[{i}]" for i in doc["config"]["monads"]]
+    assert monad_id in doc["config"]["monads"]
+
+
+@pytest.mark.parametrize(
     "spelled",
     [
         '{"elements":["0","1"],"name":"x"',  # not JSON

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gsmon import squares
+from gsmon import monads, squares
 from gsmon.errors import (
     InvariantViolation,
     MalformedInput,
@@ -217,7 +217,7 @@ def test_randomized_assoc_pullback_on_d_falls_back_to_unscaled_cones(monkeypatch
     # Scaling the legs of a D cone leaves D, so the sampler keeps the
     # unscaled cone: the check still passes on every cone.
     refused = []
-    scale = squares._scale
+    scale = monads._scale
 
     def counted_scale(*args):
         try:
@@ -226,7 +226,7 @@ def test_randomized_assoc_pullback_on_d_falls_back_to_unscaled_cones(monkeypatch
             refused.append(args)
             raise
 
-    monkeypatch.setattr(squares, "_scale", counted_scale)
+    monkeypatch.setattr(monads, "_scale", counted_scale)
     sq = build_square("assoc", get_instance("D"), [2, 2, 2])
     report = check_pullback(sq, mode="randomized", trials=200, seed=1)
     assert report.passed

@@ -5,7 +5,7 @@ M, M*, D and F store a value as integer numerators over one denominator
 (`gsmon.rational.Table`).  The oracle below is the arithmetic they used
 before: a payload is a tuple of scalars (Fractions, or F's ints), every sum
 starts from the scalar zero, and `_scale` multiplies each entry.  Each
-closed operation and `squares._scale` must give the oracle's entries, as
+closed operation and `monads._scale` must give the oracle's entries, as
 the canonical value `make` builds from them, on every input drawn from small
 pools over sets of size 1 and 2, and on hypothesis-drawn tables.  The same
 holds for the scalar readers of `Table` and for their callers (the measure
@@ -25,9 +25,9 @@ from gsmon.errors import PayloadInvalid
 from gsmon.finset import UNIT, FinSet, enumerate_functions, product
 from gsmon.independence import CIResult, _in_block_order, check_ci
 from gsmon.kernels import Kernel
-from gsmon.monads import classification_of, get_instance
+from gsmon.monads import _scale, classification_of, get_instance
 from gsmon.rational import Table
-from gsmon.squares import _scale, assoc_square
+from gsmon.squares import assoc_square
 
 SETS = [FinSet.of(f"S{n}", [f"s{n}_{i}" for i in range(1, n + 1)]) for n in (1, 2, 3)]
 MONADS = ["M", "M*", "D", "F(B=2)"]
@@ -130,7 +130,7 @@ def check_all_operations(inst, X, Y, tx, ty, kernels, factors):
     for entries_t, t in tx:
         for entries_u, u in ty:
             agrees(inst, inst.lax_c(t, u), product([X, Y]), oracle_lax_c(entries_t, entries_u))
-    if inst.measure_like:
+    if monad_id in ("M", "M*", "D"):
         for entries, t in tx:
             for p, q in factors:
                 try:
@@ -404,9 +404,20 @@ def test_drawn_tables_read_as_the_oracle_reads(drawn):
 CI_POOLS = {2: [F(0), F(1, 2), F(1), F(2)], 3: [F(0), F(1, 2), F(1)]}
 
 
+_STATES = {}
+
+
 def states(monad_id, factors):
     """Every value of M, or of D, over the product of `factors` from entries
-    in their CI pool (for D, each non-zero M value divided by its mass)."""
+    in their CI pool (for D, each non-zero M value divided by its mass).
+    Built once per monad and factors: the partitions of one arity share them."""
+    key = (monad_id, tuple(factors))
+    if key not in _STATES:
+        _STATES[key] = _build_states(monad_id, factors)
+    return _STATES[key]
+
+
+def _build_states(monad_id, factors):
     inst = get_instance(monad_id)
     cod = product(factors)
     out = {}
