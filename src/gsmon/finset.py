@@ -128,13 +128,24 @@ class FinFun:
                 raise MalformedInput("function index out of codomain range")
 
     def __call__(self, e: Elem) -> Elem:
-        return self.cod.elements[self.mapping[self.dom.index(e)]]
+        i = self.dom._index.get(e)
+        if i is None:
+            raise MalformedInput(f"{e!r} is not an element of {self.dom.name}")
+        return self.cod.elements[self.mapping[i]]
 
     def compose(self, other: "FinFun") -> "FinFun":
         """self after other."""
         if other.cod != self.dom:
             raise MalformedInput("composition type mismatch")
         return FinFun(other.dom, self.cod, tuple(self.mapping[i] for i in other.mapping))
+
+
+def _fun(dom: FinSet, cod: FinSet, mapping: tuple) -> FinFun:
+    """The FinFun of `mapping`, unchecked: a tuple of len(dom) indices into
+    `cod`.  For mappings built from valid functions by index arithmetic."""
+    f = object.__new__(FinFun)
+    f.__dict__.update(dom=dom, cod=cod, mapping=mapping)
+    return f
 
 
 def fun_from_callable(dom: FinSet, cod: FinSet, fn: Callable[[Elem], Elem]) -> FinFun:
@@ -155,10 +166,9 @@ def swap_fun(x: FinSet, y: FinSet) -> FinFun:
 def pair_fun(f: FinFun, g: FinFun) -> FinFun:
     """f x g on flattened products.  Products are lexicographic, so the cell
     (i, j) of the domain maps to f(i) * |g.cod| + g(j)."""
-    dom = product([f.dom, g.dom])
-    cod = product([f.cod, g.cod])
     n = len(g.cod)
-    return FinFun(dom, cod, tuple(i * n + j for i in f.mapping for j in g.mapping))
+    mapping = tuple([i * n + j for i in f.mapping for j in g.mapping])
+    return _fun(product([f.dom, g.dom]), product([f.cod, g.cod]), mapping)
 
 
 def regroup(factors: Sequence[FinSet], order: Sequence[int]) -> Callable[[Elem], Elem]:

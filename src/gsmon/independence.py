@@ -155,11 +155,12 @@ def _ci_equivalence(f: Kernel, factors, partition) -> CIResult:
 
 
 def _in_block_order(f: Kernel, factors, partition) -> tuple:
-    """The block sets of the partition, and f's columns moved into block order."""
+    """The block sets of the partition, and f's columns moved into block
+    order, each mapped as it is read."""
     blocks = [product([factors[i] for i in block]) for block in partition]
     flat = [i for block in partition for i in block]
     to_blocks = fun_from_callable(f.cod, product(blocks), regroup(factors, flat))
-    return blocks, [f.inst.map(to_blocks, col) for col in f.columns]
+    return blocks, (f.inst.map(to_blocks, col) for col in f.columns)
 
 
 def _ci_rank1(f: Kernel, factors, partition) -> CIResult:

@@ -15,7 +15,7 @@ import random
 import re
 from dataclasses import FrozenInstanceError, dataclass
 from math import gcd, lcm
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     ElementNotInSet,
@@ -33,6 +33,7 @@ from .finset import (
     FinFun,
     FinSet,
     UNIT,
+    _fun,
     elem_from_str,
     elem_to_str,
     enumerate_functions,
@@ -212,10 +213,11 @@ class MonadInstance:
         under c; this one keeps it and draws nothing."""
         return u, v
 
-    def rank_one_factors(self, columns: Sequence[TValue], blocks: Sequence[FinSet]) -> tuple:
-        """Each column over the product of `blocks` as one exact factor per block:
-        (the factor values per block, None), or (None, the first failing index
-        of the first column that is no outer product).  Refused here, up front."""
+    def rank_one_factors(self, columns: Iterable[TValue], blocks: Sequence[FinSet]) -> tuple:
+        """Each column over the product of `blocks`, read once and in order, as
+        one exact factor per block: (the factor values per block, None), or
+        (None, the first failing index of the first column that is no outer
+        product).  Refused here, before the first column is read."""
         raise MethodInapplicable(f"rank1 method needs a measure-like payload, not {self.id}")
 
     def _check_x(self, base: FinSet, x: Elem) -> int:
@@ -421,7 +423,7 @@ class _MeasureBase(_TableMonad):
         except PayloadInvalid:
             return u, v
 
-    def rank_one_factors(self, columns: Sequence[TValue], blocks: Sequence[FinSet]) -> tuple:
+    def rank_one_factors(self, columns: Iterable[TValue], blocks: Sequence[FinSet]) -> tuple:
         """Exact outer-product test, columnwise.
 
         A nonnegative table over blocks of sizes s_1..s_n is an outer product
@@ -827,10 +829,11 @@ def classification_of(inst: MonadInstance) -> Classification:
 # The most combinations one exhaustive enumeration may take.
 ENUMERATION_BUDGET = 20000
 
-# The most kernel pairs (k, h) one exhaustive law check may compare: about
-# 10 s for a writer monad (writer:Z2xZ2 at sizes 1,2,3 compares 4.5e6 pairs
-# in 4 CPU seconds) and longer for a table monad (F(B=2) at sizes 1,2
-# compares 4.2e5 pairs in 5 s).
+# The most kernel pairs (k, h) one exhaustive law check may take on.  The
+# decisions compare far fewer terms (writer:Z2xZ2 at sizes 1,2,3 has 4.5e6
+# pairs and is decided in about 0.6 CPU seconds, F(B=2) at sizes 1,2 has
+# 4.2e5 pairs and takes about 3.5 s), but a law whose decision says False is
+# scanned tuple by tuple, and the budget bounds that scan.
 LAW_PAIR_BUDGET = 10**7
 
 
@@ -861,13 +864,15 @@ def _sample_fun(dom: FinSet, cod: FinSet, rng) -> FinFun:
     return FinFun(dom, cod, tuple(rng.randrange(len(cod)) for _ in dom))
 
 
+_MISSING = object()
+
+
 def _once(memo: dict, key, compute, *args):
     """compute(*args), stored in `memo` under `key` on first use."""
-    try:
-        return memo[key]
-    except KeyError:
+    out = memo.get(key, _MISSING)
+    if out is _MISSING:
         memo[key] = out = compute(*args)
-        return out
+    return out
 
 
 class _Memo(dict):
@@ -911,7 +916,37 @@ def _row_reader(row: tuple) -> Callable[[Sequence], tuple]:
     if len(row) == 1:  # itemgetter of one index returns the entry, not a 1-tuple
         (i,) = row
         return lambda table: (table[i],)
+    if not row:
+        return lambda table: ()
     return operator.itemgetter(*row)
+
+
+def _read_coordinates(values: Sequence, radices: Sequence[int]) -> tuple:
+    """The coordinates that a function over a full product reads.
+
+    `values` (a list or tuple) holds f(c) for every c in the product of
+    range(r) over r in `radices`, in lexicographic order.  Coordinate j is
+    read when changing c[j] alone changes f(c) somewhere, that is when some
+    block of values with the coordinates before j fixed is not its first
+    slice repeated.  On a full product the coordinates that are not read can
+    be changed one at a time, so f(c) depends on c at the read ones alone."""
+    read, size = [], len(values)
+    block = size
+    for j, r in enumerate(radices):
+        if not size:
+            break
+        stride = block // r
+        if any(values[b:b + block] != values[b:b + stride] * r for b in range(0, size, block)):
+            read.append(j)
+        block = stride
+    return tuple(read)
+
+
+def _first_per_pattern(rows: Sequence[tuple], coords: Sequence[int]) -> list:
+    """The index of the first of `rows` with each pattern of entries at
+    `coords`, in increasing order."""
+    keys = list(map(_row_reader(tuple(coords)), rows))
+    return sorted(dict(zip(reversed(keys), reversed(range(len(keys))))).values())
 
 
 def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
@@ -929,16 +964,29 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
     Kleisli associativity, functor composition, c-naturality and
     c-associativity have decisions.  Each names the values it meets by
     their index in a `_Listing`, computes the scan's own terms once per
-    table row or memo key, and compares rows of indices: two indices are
-    equal exactly when the two values are.  None of them calls the equation.
+    table row, column or memo key, and compares rows or columns of indices:
+    two indices are equal exactly when the two values are.  None of them
+    calls the equation.
 
-    Sub-terms are memoized per table: `extend(k, t)` per kernel and payload,
-    `map(f, t)` per function and payload, and `lax_c` per pair of values.  A kernel's or function's domain fixes the base of the
-    values it receives, so there a payload names one value; a `lax_c`
-    argument is keyed by the id of its base and its payload.  Kernels,
-    functions, bases and memoized values are keyed by id: the pools and
-    memos keep them alive for the table's life.  One-element randomized
-    pools make every memo a no-op.
+    Kleisli associativity is decided per t for one kernel k per pattern of
+    the columns that extension at t reads.  Those columns are measured, not
+    assumed: ext(k, t) over every k in TY^X and extend(m, t) over every m in
+    M^X (M the values ext(h, s), so M^X holds every composite h . k) are
+    functions over full products, and a coordinate whose change alone never
+    changes the value is not read.  Changing the unread coordinates one at
+    a time, inside the product, shows that the value depends on the read
+    ones alone.  Where listing M^X for every t would take more extensions
+    than there are pairs (k, h) (F at a large bound), every k is its own
+    pattern and the pairs are compared by rows over t.
+
+    Sub-terms of the scan are memoized per table: `extend(k, t)` per kernel
+    and payload, `map(f, t)` per function and payload, and `lax_c` per pair
+    of values; the decisions share the last two.  A kernel's or function's
+    domain fixes the base of the values it receives, so there a payload
+    names one value; a `lax_c` argument is keyed by the id of its base and
+    its payload.  Kernels, functions, bases and memoized values are keyed by
+    id: the pools and memos keep them alive for the table's life.
+    One-element randomized pools make every memo a no-op.
     """
     unit_y = lambda e: inst.unit(Y, e)
     id_x = identity_fun(X)
@@ -954,34 +1002,63 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
     def lax(t, u):
         return _once(c_memo, (id(t.base), t.payload, id(u.base), u.payload), inst.lax_c, t, u)
 
-    def assoc_by_rows(pools) -> bool:
-        """Kleisli associativity for every (t, k, h).  The lists of TY and TZ
-        values start as their pools (F's pools stop at its bound, and
-        extend does not).
+    def assoc_by_patterns(pools) -> bool:
+        """Kleisli associativity for every (t, k, h), one k per pattern of
+        the columns that t's extensions read.  The lists of TY and TZ values
+        start as their pools (F's pools stop at its bound, and extend does
+        not); the kernels k are the full product TY^X of the pool, in order.
 
-        Row ext(k, t) over t in TX and row k(x) over x in X, per k; table
-        ext(h, s) over every listed s in TY, per h.  Per (k, h) the left row
-        is h's table read at k's extension row, and the right row
-        extend(h . k, t) over t is memoized per composite, which is h's table
-        read at k's column row.
+        Per t: the TY index of ext(k, t) over every k, and the TZ index of
+        extend(m, t) over every m in M^X, where M holds every value
+        ext(h, s) for s in the pool, so every composite h . k is in M^X.
+        Both are functions over full products, so `_read_coordinates`
+        measures the columns they read, and two kernels that agree on those
+        columns agree on both sides for every h.  Per representative k, the
+        h-indexed column of the left side, ext(h, s) at s = ext(k, t), is
+        compared with the right side looked up at the composites, whose
+        columns are the h-tables at k's columns.
+
+        Where listing M^X for every t would take more extensions than there
+        are pairs (k, h), every k is its own pattern: per k, the row of the
+        left side over t is each h-table read at k's extension row, and the
+        right row extend(h . k, t) over t is memoized per composite.
         """
-        tx = pools["t"]
+        tx, ks, hs = pools["t"], pools["k"], pools["h"]
+        if not (tx and ks and hs):
+            return True
         ty, tz = _Listing(pools["u"]), _Listing(pools["v"])
+        n, d = len(ty), len(X)
+        k_cols = [tuple(map(ty, k.columns)) for k in ks]
+        if k_cols != list(itertools.product(range(n), repeat=d)):
+            return False  # not the full product: the scan decides
+        lefts = [[ty(inst.extend(k, Y, t)) for k in ks] for t in tx]
+        h_cols = list(zip(*[[tz(inst.extend(h, Z, s)) for s in ty] for h in hs]))
+        m_values = sorted(set(itertools.chain.from_iterable(h_cols[:n])))
 
-        def right_row(cols):
-            col = dict(zip(X.elements, (tz[i] for i in cols))).__getitem__
-            return tuple(tz(inst.extend(col, Z, t)) for t in tx)
+        def column(m):
+            return dict(zip(X.elements, map(tz.__getitem__, m))).__getitem__
 
-        k_rows = [
-            (tuple(ty(ext(k, Y, t)) for t in tx), tuple(map(ty, k.columns)))
-            for k in pools["k"]
-        ]
-        h_tables = [tuple(tz(ext(h, Z, s)) for s in ty) for h in pools["h"]]
-        rights = _Memo(right_row)
-        for ext_row, col_row in k_rows:
-            lefts = list(map(_row_reader(ext_row), h_tables))
-            if lefts != list(map(rights.__getitem__, map(_row_reader(col_row), h_tables))):
-                return False
+        if len(m_values) ** d * len(tx) > len(ks) * len(hs):
+            h_tables = list(zip(*h_cols))
+            rights = _Memo(lambda m: tuple(tz(inst.extend(column(m), Z, t)) for t in tx))
+            for ext_row, cols in zip(zip(*lefts), k_cols):
+                left_rows = map(_row_reader(ext_row), h_tables)
+                composites = map(_row_reader(cols), h_tables)
+                if list(left_rows) != list(map(rights.__getitem__, composites)):
+                    return False
+            return True
+        composites = list(itertools.product(m_values, repeat=d))
+        columns = list(map(column, composites))
+        for t, left in zip(tx, lefts):
+            right = [tz(inst.extend(col, Z, t)) for col in columns]
+            read = _read_coordinates(left, (n,) * d)
+            read += _read_coordinates(right, (len(m_values),) * d)
+            right_of = dict(zip(composites, right))
+            for i in _first_per_pattern(k_cols, sorted(set(read))):
+                cols = k_cols[i]
+                at_h = zip(*map(h_cols.__getitem__, cols)) if cols else [()] * len(hs)
+                if h_cols[left[i]] != tuple(map(right_of.__getitem__, at_h)):
+                    return False
         return True
 
     def composition_by_rows(pools) -> bool:
@@ -998,7 +1075,7 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
         ]
         g_maps = [g.mapping for g in pools["g"]]
         g_tables = [tuple(tz(fmap(g, s)) for s in ty) for g in pools["g"]]
-        lefts = _Memo(lambda gf: tuple(tz(inst.map(FinFun(X, Z, gf), t)) for t in tx))
+        lefts = _Memo(lambda gf: tuple(tz(inst.map(_fun(X, Z, gf), t)) for t in tx))
         for read_map, read_row in f_rows:
             if list(map(lefts.__getitem__, map(read_map, g_maps))) != list(map(read_row, g_tables)):
                 return False
@@ -1006,8 +1083,9 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
 
     def naturality_by_tables(pools) -> bool:
         """c-naturality for every (t, u, f, g).  lax(t, u) is listed once per
-        pair (t, u).  Per (f, g) each listed value is pushed along f x g
-        once, and the results read at the pair row are compared with
+        pair (t, u).  Per (f, g) each listed value is pushed along f x g,
+        built unchecked over the products X x Y and Y x Z looked up once per
+        table, and the results read at the pair row are compared with
         lax(map(f, t), map(g, u)) over the pairs, read from a table memoized
         per pair of (TY, TZ) indices."""
         tx, tu = pools["t"], pools["u"]
@@ -1016,9 +1094,11 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
         f_rows = [(f, tuple(ty(fmap(f, t)) for t in tx)) for f in pools["f"]]
         g_rows = [(g, tuple(tz(fmap(g, u)) for u in tu)) for g in pools["g"]]
         laxes = _Memo(lambda ij: yz(inst.lax_c(ty[ij[0]], tz[ij[1]])))
+        xy_set, yz_set, nz = product([X, Y]), product([Y, Z]), len(Z)
         for f, f_row in f_rows:
+            f_cells = [i * nz for i in f.mapping]
             for g, g_row in g_rows:
-                fg = pair_fun(f, g)
+                fg = _fun(xy_set, yz_set, tuple([i + j for i in f_cells for j in g.mapping]))
                 lefts = read_pairs([yz(inst.map(fg, c)) for c in xy])
                 if lefts != tuple(map(laxes.__getitem__, itertools.product(f_row, g_row))):
                     return False
@@ -1047,7 +1127,7 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
          lambda u: inst.extend(unit_y, Y, u) == u, "u", None),
         ("kleisli_assoc", "tkh",
          lambda t, k, h: ext(h, Z, ext(k, Y, t))
-         == inst.extend(lambda e: ext(h, Z, k(e)), Z, t), "t", assoc_by_rows),
+         == inst.extend(lambda e: ext(h, Z, k(e)), Z, t), "t", assoc_by_patterns),
         ("functor_identity", "t",
          lambda t: inst.map(id_x, t) == t, "t", None),
         ("functor_composition", "tfg",
@@ -1085,6 +1165,22 @@ def _first_failure(laws: tuple, pools: dict, decide: bool = False) -> Optional[d
             if not holds(*args):
                 return {"law": law, "inputs": [args[variables.index(w)] for w in witness]}
     return None
+
+
+def law_pools(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> dict:
+    """The exhaustive pools of the law table on (X, Y, Z), in enumeration order."""
+    from .kernels import enumerate_kernels
+
+    return {
+        "t": list(inst.enumerate_values(X)),
+        "u": list(inst.enumerate_values(Y)),
+        "v": list(inst.enumerate_values(Z)),
+        "f": list(enumerate_functions(X, Y)),
+        "g": list(enumerate_functions(Y, Z)),
+        "k": list(enumerate_kernels(inst, X, Y)),
+        "h": list(enumerate_kernels(inst, Y, Z)),
+        "x": X.elements,
+    }
 
 
 def law_pairs(inst: MonadInstance, sets: Sequence[FinSet]) -> int:
@@ -1125,7 +1221,7 @@ def check_monad_laws(
     runs seeded trials with freshly sampled ingredients, still compared
     exactly.
     """
-    from .kernels import enumerate_kernels, sample_kernel
+    from .kernels import sample_kernel
 
     require_mode(mode)
     sets = [
@@ -1144,16 +1240,7 @@ def check_monad_laws(
             )
         held = set()  # (law, the objects of its variables) for each law that held
         for X, Y, Z in itertools.product(sets, repeat=3):
-            pools = {
-                "t": list(inst.enumerate_values(X)),
-                "u": list(inst.enumerate_values(Y)),
-                "v": list(inst.enumerate_values(Z)),
-                "f": list(enumerate_functions(X, Y)),
-                "g": list(enumerate_functions(Y, Z)),
-                "k": list(enumerate_kernels(inst, X, Y)),
-                "h": list(enumerate_kernels(inst, Y, Z)),
-                "x": X.elements,
-            }
+            pools = law_pools(inst, X, Y, Z)
             # A law holds alike on every table where its variables range over
             # the same objects, so one that held on such a table is skipped.
             objs = dict(x=X, t=X, u=Y, v=Z, f=(X, Y), k=(X, Y), g=(Y, Z), h=(Y, Z))

@@ -129,6 +129,13 @@ def test_enumerate_functions_count_and_error():
     assert list(enumerate_functions(empty, X)) != []  # the unique empty map
 
 
+def test_a_function_refuses_an_argument_outside_its_domain():
+    f = identity_fun(X)
+    assert [f(e) for e in X] == list(X.elements)
+    with pytest.raises(MalformedInput, match=r"\('y0',\) is not an element of X"):
+        f(("y0",))
+
+
 def test_compose_and_identity():
     f = fun_from_callable(X, Y, lambda e: ("y1",))
     g = fun_from_callable(Y, X, lambda e: ("x0",))

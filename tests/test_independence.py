@@ -170,6 +170,18 @@ def test_method_applicability():
         check_ci(f, [X], [[0]], method="nonsense")
 
 
+def test_rank1_is_refused_before_any_column_is_mapped(monkeypatch):
+    w = get_instance("writer:Z2")
+    dom = FinSet.of("D", [f"d{i}" for i in range(50)])
+    cod = product([X, Y])
+    f = Kernel(w, dom, cod, [w.unit(cod, ("x0", "y1"))] * 50)
+    maps = []
+    monkeypatch.setattr(WriterMonad, "map", lambda self, g, t: maps.append(t))
+    with pytest.raises(MethodInapplicable, match="rank1 method needs"):
+        check_ci(f, [X, Y], [[0], [1]], method="rank1")
+    assert maps == []
+
+
 def test_local_independence_constructive():
     rng = random.Random(33)
     factors = [X, Y, Z]
