@@ -128,10 +128,7 @@ class FinFun:
                 raise MalformedInput("function index out of codomain range")
 
     def __call__(self, e: Elem) -> Elem:
-        i = self.dom._index.get(e)
-        if i is None:
-            raise MalformedInput(f"{e!r} is not an element of {self.dom.name}")
-        return self.cod.elements[self.mapping[i]]
+        return self.cod.elements[self.mapping[self.dom.index(e)]]
 
     def compose(self, other: "FinFun") -> "FinFun":
         """self after other."""

@@ -831,8 +831,8 @@ ENUMERATION_BUDGET = 20000
 
 # The most kernel pairs (k, h) one exhaustive law check may take on.  The
 # decisions compare far fewer terms (writer:Z2xZ2 at sizes 1,2,3 has 4.5e6
-# pairs and is decided in about 0.6 CPU seconds, F(B=2) at sizes 1,2 has
-# 4.2e5 pairs and takes about 3.5 s), but a law whose decision says False is
+# pairs and is decided in about 0.5 CPU seconds, F(B=2) at sizes 1,2 has
+# 4.2e5 pairs and takes about 3 s), but a law whose decision says False is
 # scanned tuple by tuple, and the budget bounds that scan.
 LAW_PAIR_BUDGET = 10**7
 
@@ -976,8 +976,9 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
     changes the value is not read.  Changing the unread coordinates one at
     a time, inside the product, shows that the value depends on the read
     ones alone.  Where listing M^X for every t would take more extensions
-    than there are pairs (k, h) (F at a large bound), every k is its own
-    pattern and the pairs are compared by rows over t.
+    than there are pairs (k, h) (F at a large bound), nothing is measured:
+    every k is its own pattern, in the same per-t loop, and only the
+    composites met are extended.
 
     Sub-terms of the scan are memoized per table: `extend(k, t)` per kernel
     and payload, `map(f, t)` per function and payload, and `lax_c` per pair
@@ -1016,12 +1017,12 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
         columns agree on both sides for every h.  Per representative k, the
         h-indexed column of the left side, ext(h, s) at s = ext(k, t), is
         compared with the right side looked up at the composites, whose
-        columns are the h-tables at k's columns.
+        columns are the h-tables at k's columns.  The right side is
+        memoized per t and composite.
 
         Where listing M^X for every t would take more extensions than there
-        are pairs (k, h), every k is its own pattern: per k, the row of the
-        left side over t is each h-table read at k's extension row, and the
-        right row extend(h . k, t) over t is memoized per composite.
+        are pairs (k, h), M^X is not listed: every k is its own
+        representative, and only the composites met are extended.
         """
         tx, ks, hs = pools["t"], pools["k"], pools["h"]
         if not (tx and ks and hs):
@@ -1034,27 +1035,21 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
         lefts = [[ty(inst.extend(k, Y, t)) for k in ks] for t in tx]
         h_cols = list(zip(*[[tz(inst.extend(h, Z, s)) for s in ty] for h in hs]))
         m_values = sorted(set(itertools.chain.from_iterable(h_cols[:n])))
-
-        def column(m):
-            return dict(zip(X.elements, map(tz.__getitem__, m))).__getitem__
-
-        if len(m_values) ** d * len(tx) > len(ks) * len(hs):
-            h_tables = list(zip(*h_cols))
-            rights = _Memo(lambda m: tuple(tz(inst.extend(column(m), Z, t)) for t in tx))
-            for ext_row, cols in zip(zip(*lefts), k_cols):
-                left_rows = map(_row_reader(ext_row), h_tables)
-                composites = map(_row_reader(cols), h_tables)
-                if list(left_rows) != list(map(rights.__getitem__, composites)):
-                    return False
-            return True
-        composites = list(itertools.product(m_values, repeat=d))
-        columns = list(map(column, composites))
+        measured = len(m_values) ** d * len(tx) <= len(ks) * len(hs)
+        composites = list(itertools.product(m_values, repeat=d)) if measured else ()
+        column = _Memo(lambda m: dict(zip(X.elements, map(tz.__getitem__, m))).__getitem__)
+        columns = list(map(column.__getitem__, composites))
         for t, left in zip(tx, lefts):
-            right = [tz(inst.extend(col, Z, t)) for col in columns]
-            read = _read_coordinates(left, (n,) * d)
-            read += _read_coordinates(right, (len(m_values),) * d)
-            right_of = dict(zip(composites, right))
-            for i in _first_per_pattern(k_cols, sorted(set(read))):
+            right_of = _Memo(lambda m, t=t: tz(inst.extend(column[m], Z, t)))
+            if measured:
+                right = [tz(inst.extend(col, Z, t)) for col in columns]
+                right_of.update(zip(composites, right))
+                read = _read_coordinates(left, (n,) * d)
+                read += _read_coordinates(right, (len(m_values),) * d)
+                representatives = _first_per_pattern(k_cols, sorted(set(read)))
+            else:
+                representatives = range(len(ks))
+            for i in representatives:
                 cols = k_cols[i]
                 at_h = zip(*map(h_cols.__getitem__, cols)) if cols else [()] * len(hs)
                 if h_cols[left[i]] != tuple(map(right_of.__getitem__, at_h)):
@@ -1083,9 +1078,8 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
 
     def naturality_by_tables(pools) -> bool:
         """c-naturality for every (t, u, f, g).  lax(t, u) is listed once per
-        pair (t, u).  Per (f, g) each listed value is pushed along f x g,
-        built unchecked over the products X x Y and Y x Z looked up once per
-        table, and the results read at the pair row are compared with
+        pair (t, u).  Per (f, g) each listed value is pushed along f x g, and
+        the results read at the pair row are compared with
         lax(map(f, t), map(g, u)) over the pairs, read from a table memoized
         per pair of (TY, TZ) indices."""
         tx, tu = pools["t"], pools["u"]
@@ -1094,11 +1088,9 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
         f_rows = [(f, tuple(ty(fmap(f, t)) for t in tx)) for f in pools["f"]]
         g_rows = [(g, tuple(tz(fmap(g, u)) for u in tu)) for g in pools["g"]]
         laxes = _Memo(lambda ij: yz(inst.lax_c(ty[ij[0]], tz[ij[1]])))
-        xy_set, yz_set, nz = product([X, Y]), product([Y, Z]), len(Z)
         for f, f_row in f_rows:
-            f_cells = [i * nz for i in f.mapping]
             for g, g_row in g_rows:
-                fg = _fun(xy_set, yz_set, tuple([i + j for i in f_cells for j in g.mapping]))
+                fg = pair_fun(f, g)
                 lefts = read_pairs([yz(inst.map(fg, c)) for c in xy])
                 if lefts != tuple(map(laxes.__getitem__, itertools.product(f_row, g_row))):
                     return False

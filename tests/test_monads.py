@@ -415,6 +415,28 @@ def test_kleisli_assoc_compares_one_h_column_per_pattern(monkeypatch):
     assert sum(map(len, patterns)) * len(pools["h"]) == 7776
 
 
+@pytest.mark.parametrize("monad_id", ["F(B=1)", "F(B=2)", "writer:Z3"])
+def test_kleisli_assoc_without_measuring_extends_as_often_as_the_rows(monkeypatch, monad_id):
+    inst = get_instance(monad_id)
+    X, Y, Z = (law_sets([n])[0] for n in (2, 1, 2))
+    pools = monads.law_pools(inst, X, Y, Z)
+    # |M|^|X| * |TX| exceeds the pairs (k, h) on this table, so M^X is not
+    # listed: every k is its own representative.
+    monkeypatch.setattr(monads, "_first_per_pattern", lambda *args: pytest.fail("measured"))
+    calls, extend = Counter(), type(inst).extend
+
+    def counted(self, *args):
+        calls[side] += 1
+        return extend(self, *args)
+
+    monkeypatch.setattr(type(inst), "extend", counted)
+    side = "decision"
+    assert kleisli_assoc_decision(inst, X, Y, Z)(pools)
+    side = "rows"
+    assert rows_assoc_holds(inst, X, Y, Z, pools)
+    assert calls["decision"] == calls["rows"]
+
+
 @pytest.fixture
 def equation_calls(monkeypatch):
     """A Counter of the equation calls per law, filled as the law check runs."""
