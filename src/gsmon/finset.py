@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import EmptyCodomain, MalformedInput
 
@@ -145,19 +145,18 @@ def _fun(dom: FinSet, cod: FinSet, mapping: tuple) -> FinFun:
     return f
 
 
-def fun_from_callable(dom: FinSet, cod: FinSet, fn: Callable[[Elem], Elem]) -> FinFun:
-    return FinFun(dom, cod, tuple(cod.index(fn(e)) for e in dom))
-
-
 def identity_fun(x: FinSet) -> FinFun:
     return FinFun(x, x, tuple(range(len(x))))
 
 
+def terminal_fun(x: FinSet) -> FinFun:
+    """The unique map X -> I."""
+    return _fun(x, UNIT, (0,) * len(x))
+
+
 def swap_fun(x: FinSet, y: FinSet) -> FinFun:
     """The canonical iso X x Y -> Y x X on flattened tuples."""
-    xy = product([x, y])
-    yx = product([y, x])
-    return fun_from_callable(xy, yx, lambda e: e[x.arity:] + e[: x.arity])
+    return projection_fun([x, y], [1, 0])
 
 
 def pair_fun(f: FinFun, g: FinFun) -> FinFun:
@@ -168,23 +167,24 @@ def pair_fun(f: FinFun, g: FinFun) -> FinFun:
     return _fun(product([f.dom, g.dom]), product([f.cod, g.cod]), mapping)
 
 
-def regroup(factors: Sequence[FinSet], order: Sequence[int]) -> Callable[[Elem], Elem]:
-    """The map sending an element of product(factors) to its coordinates in
-    the factors listed in `order`, concatenated in that order."""
-    spans = []
-    pos = 0
-    for f in factors:
-        spans.append(slice(pos, pos + f.arity))
-        pos += f.arity
-    picked = [spans[i] for i in order]
-    return lambda e: sum((e[s] for s in picked), ())
+def regroup_fun(dom: FinSet, cod: FinSet, factors: Sequence[FinSet], order: Sequence[int]) -> FinFun:
+    """The map from `dom`, the product of `factors`, to `cod`, the product of
+    the factors listed in `order`, that concatenates those coordinates.  As in
+    `pair_fun`, factor i's index is weighted by the sizes after each place
+    it takes in `order`, since both products are lexicographic."""
+    weights, w = [0] * len(factors), 1
+    for i in reversed(order):
+        weights[i] += w
+        w *= len(factors[i])
+    mapping = [0]
+    for f, w in zip(factors, weights):
+        mapping = [m + d * w for m in mapping for d in range(len(f))]
+    return _fun(dom, cod, tuple(mapping))
 
 
 def projection_fun(factors: Sequence[FinSet], keep: Sequence[int]) -> FinFun:
     """Project product(factors) onto the sub-product of the kept factor indices."""
-    factors = list(factors)
-    cod = product([factors[i] for i in keep])
-    return fun_from_callable(product(factors), cod, regroup(factors, keep))
+    return regroup_fun(product(factors), product([factors[i] for i in keep]), factors, keep)
 
 
 def enumerate_functions(dom: FinSet, cod: FinSet) -> Iterator[FinFun]:

@@ -21,8 +21,8 @@ from .errors import (
     MethodInapplicable,
     TypeMismatch,
 )
-from .finset import FinSet, fun_from_callable, product, projection_fun, regroup
-from .kernels import Kernel, compose, equivalent, lift, mass, pairing, scalar_action
+from .finset import FinSet, product, regroup_fun
+from .kernels import Kernel, equivalent, mass, pairing, pushforward, scalar_action
 from .monads import budgeted_product, classification_of
 from .report import CheckReport
 
@@ -43,24 +43,23 @@ def _check_partition(partition: Partition, n: int):
 
 
 def marginal(f: Kernel, factors: Sequence[FinSet], block: Sequence[int]) -> Kernel:
-    """Discard every output coordinate outside `block`."""
+    """Discard every output coordinate outside `block`, as a pushforward."""
     _check_factors(f, factors)
     block = list(block)
     if any(not 0 <= i < len(factors) for i in block) or len(set(block)) != len(block):
         raise InvalidBlock(f"bad coordinate block {block}")
-    proj = projection_fun(list(factors), block)
-    return compose(lift(f.inst, proj), f)
+    cod = product([factors[i] for i in block])
+    return pushforward(regroup_fun(f.cod, cod, factors, block), f)
 
 
 def _reorder(k: Kernel, factors: Sequence[FinSet], partition: Partition) -> Kernel:
-    """Postcompose with the base permutation sending the blocks-flattened
+    """Push forward along the base permutation sending the blocks-flattened
     coordinate order back to the original coordinate order."""
     flat = [i for block in partition for i in block]
     if flat == sorted(flat):
         return k
-    back = regroup([factors[i] for i in flat], [flat.index(i) for i in range(len(factors))])
-    perm = fun_from_callable(k.cod, product(list(factors)), back)
-    return compose(lift(k.inst, perm), k)
+    back = [flat.index(i) for i in range(len(factors))]
+    return pushforward(regroup_fun(k.cod, product(factors), [factors[i] for i in flat], back), k)
 
 
 def product_of_factors(
@@ -159,7 +158,7 @@ def _in_block_order(f: Kernel, factors, partition) -> tuple:
     order, each mapped as it is read."""
     blocks = [product([factors[i] for i in block]) for block in partition]
     flat = [i for block in partition for i in block]
-    to_blocks = fun_from_callable(f.cod, product(blocks), regroup(factors, flat))
+    to_blocks = regroup_fun(f.cod, product(blocks), factors, flat)
     return blocks, (f.inst.map(to_blocks, col) for col in f.columns)
 
 
@@ -214,10 +213,8 @@ def check_ci_n2_equation(f: Kernel, factors: Sequence[FinSet]) -> bool:
     if len(factors) != 2:
         raise TypeMismatch("the n=2 equation needs a binary product codomain")
     _check_factors(f, factors)
-    fx = marginal(f, factors, [0])
-    fy = marginal(f, factors, [1])
     # The codomain (X x Y) x I of the left side is X x Y strictly.
-    return pairing(f, mass(f)) == pairing(fx, fy)
+    return pairing(f, mass(f)) == product_of_marginals(f, factors, [[0], [1]])
 
 
 def check_local_independence(

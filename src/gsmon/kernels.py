@@ -3,13 +3,13 @@
 Kernels are Kleisli morphisms X -> Y stored columnwise (one TValue over the
 codomain per domain element).  Everything downstream -- effects, mass,
 scalar action, normalization, the equivalence solver -- is built from
-`compose`, `tensor`, the structural generators copy / discard / swap, and
-`pairing`, the copy-then-tensor composite (f_1 (x) ... (x) f_n) . copy.
-`pairing` is built column by column: by the unit law its column at x is
-lax_c folded over f_1(x), ..., f_n(x), the one column of the tensor that
-the copy reads.  Because products of finite sets are strict (see finset),
-no reindexing kernels are ever needed: I x I = I and X x I = X hold on the
-nose.
+`compose`, `tensor`, the structural generators copy / discard / swap,
+`pushforward` along a base function (mass and marginals are pushforwards,
+not composites with lifted functions), and `pairing`, the copy-then-tensor
+composite (f_1 (x) ... (x) f_n) . copy, whose column at x is, by the unit
+law, lax_c folded over f_1(x), ..., f_n(x).  Because products of finite
+sets are strict (see finset), no reindexing kernels are ever needed:
+I x I = I and X x I = X hold on the nose.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from .finset import (
     FinSet,
     UNIT,
     elem_to_str,
-    fun_from_callable,
     product,
     swap_fun,
+    terminal_fun,
 )
 from .monads import MonadInstance, TValue, budgeted_product
 from .report import CheckReport
@@ -125,6 +125,13 @@ def compose(g: Kernel, f: Kernel) -> Kernel:
     return from_columns(inst, f.dom, g.cod, lambda x: inst.extend(g, g.cod, f(x)))
 
 
+def pushforward(phi: FinFun, f: Kernel) -> Kernel:
+    """compose(lift(inst, phi), f), built as the columns map(phi, f(x))."""
+    if phi.dom is not f.cod and phi.dom != f.cod:
+        raise TypeMismatch(f"cannot push {f.cod.name} forward along a map from {phi.dom.name}")
+    return Kernel(f.inst, f.dom, phi.cod, [f.inst.map(phi, col) for col in f.columns])
+
+
 def tensor(f: Kernel, g: Kernel) -> Kernel:
     """Parallel composition; for measure monads the Kronecker product."""
     _same_instance(f.inst, g.inst)
@@ -169,8 +176,8 @@ def is_discardable(f: Kernel) -> bool:
 
 
 def mass(f: Kernel) -> Kernel:
-    """The effect discard o f; f is discardable iff this is the discard map."""
-    return compose(discard_k(f.inst, f.cod), f)
+    """The effect discard o f, a pushforward; f is discardable iff this is the discard map."""
+    return pushforward(terminal_fun(f.cod), f)
 
 
 def effect_mul(a: Kernel, b: Kernel) -> Kernel:

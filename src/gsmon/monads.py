@@ -950,7 +950,7 @@ def _first_per_pattern(rows: Sequence[tuple], coords: Sequence[int]) -> list:
 
 
 def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
-    """The nine laws on (X, Y, Z) in checking order.
+    """The ten laws on (X, Y, Z) in checking order.
 
     Each entry is (name, quantified variables, equation, witness variables,
     decision).  A variable names its pool: x in X, t in TX, u in TY, v in TZ,
@@ -960,6 +960,9 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
     says whether the equation holds for every combination of them; it may
     say False, or raise, without a failure, and then the ordered scan
     decides.
+
+    The tenth law, map(f, t) == extend(unit . f, t), ties the functor to
+    the Kleisli extension: `kernels.pushforward` rests on it.
 
     Kleisli associativity, functor composition, c-naturality and
     c-associativity have decisions.  Each names the values it meets by
@@ -1135,6 +1138,8 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
         ("c_associativity", "tuv",
          lambda t, u, v: inst.lax_c(t, inst.lax_c(u, v)) == inst.lax_c(inst.lax_c(t, u), v),
          "tuv", c_assoc_by_tables),
+        ("map_is_unit_extension", "tf",
+         lambda t, f: fmap(f, t) == inst.extend(lambda e: inst.unit(Y, f(e)), Y, t), "t", None),
     )
 
 

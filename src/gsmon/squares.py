@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import InvariantViolation, MalformedInput, NoSolverForRandomized, NotEnumerable
-from .finset import FinSet, UNIT, fun_from_callable, product, projection_fun
+from .finset import FinSet, UNIT, product, projection_fun, terminal_fun
 from .kernels import Kernel, enumerate_kernels, sample_kernel, try_effect_inverse
 from .monads import MonadInstance, budgeted_product, classification_of
 from .report import CheckReport, require_mode
@@ -291,7 +291,7 @@ def positivity_square(inst: MonadInstance, x: FinSet, y: FinSet) -> Square:
     The corner T(X x 1) is TX on the nose because products are strict.
     """
     proj1 = projection_fun([x, y], [0])
-    del_y = fun_from_callable(y, UNIT, lambda e: ())
+    del_y = terminal_fun(y)
 
     top = lambda t: (inst.strength(x, t[0], t[1]),)
     left = lambda t: (t[0], inst.map(del_y, t[1]))

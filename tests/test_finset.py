@@ -4,12 +4,12 @@ from gsmon import finset
 from gsmon.cli import main
 from gsmon.errors import EmptyCodomain, MalformedInput
 from gsmon.finset import (
+    FinFun,
     FinSet,
     UNIT,
     elem_from_str,
     elem_to_str,
     enumerate_functions,
-    fun_from_callable,
     identity_fun,
     pair_fun,
     product,
@@ -19,6 +19,12 @@ from gsmon.finset import (
 
 X = FinSet.of("X", ["x0", "x1"])
 Y = FinSet.of("Y", ["y0", "y1", "y2"])
+
+
+def fun_from_callable(dom, cod, fn):
+    """The FinFun of a Python function on elements, one index lookup per
+    element: the oracle for the maps built by index arithmetic."""
+    return FinFun(dom, cod, tuple(cod.index(fn(e)) for e in dom))
 
 
 def test_product_is_strictly_unital():

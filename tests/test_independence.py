@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from gsmon.errors import InvalidBlock, MethodInapplicable, TypeMismatch
+from gsmon.errors import InvalidBlock, InvariantViolation, MethodInapplicable, TypeMismatch
 from gsmon.finset import FinSet, product
 from gsmon.independence import (
     CIResult,
     _ci_exhaustive,
     _in_block_order,
+    _verify_certificate,
     check_ci,
     check_ci_n2_equation,
     check_local_independence,
@@ -180,6 +181,15 @@ def test_rank1_is_refused_before_any_column_is_mapped(monkeypatch):
     with pytest.raises(MethodInapplicable, match="rank1 method needs"):
         check_ci(f, [X, Y], [[0], [1]], method="rank1")
     assert maps == []
+
+
+def test_a_certificate_that_does_not_reproduce_the_kernel_is_refused():
+    # A control-flow check, not an assert: CI also runs this under python -O.
+    rng = random.Random(9)
+    f = sample_kernel(MSTAR, A2, product([X, Y]), rng)
+    wrong = [sample_kernel(MSTAR, A2, X, rng), sample_kernel(MSTAR, A2, Y, rng)]
+    with pytest.raises(InvariantViolation, match="does not reproduce the kernel"):
+        _verify_certificate(f, [X, Y], CIResult(True, "rank1", certificate=wrong), [[0], [1]])
 
 
 def test_local_independence_constructive():

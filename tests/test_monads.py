@@ -126,7 +126,7 @@ def law_sets(sizes):
 
 def oracle_law_failure(inst, sizes):
     """The first failing law and its witness inputs, by an ordered scan of
-    all nine laws with every term computed afresh; None when all hold."""
+    all ten laws with every term computed afresh; None when all hold."""
     unit, ext, fmap, c = inst.unit, inst.extend, inst.map, inst.lax_c
     for X, Y, Z in itertools.product(law_sets(sizes), repeat=3):
         tx, ty, tz = (list(inst.enumerate_values(S)) for S in (X, Y, Z))
@@ -151,6 +151,8 @@ def oracle_law_failure(inst, sizes):
                             if fmap(swap_fun(X, Y), c(t, u)) != c(u, t))),
             ("c_associativity", ((t, u, v) for t, u, v in itertools.product(tx, ty, tz)
                                  if c(t, c(u, v)) != c(c(t, u), v))),
+            ("map_is_unit_extension", ((t,) for t, f in itertools.product(tx, fs)
+                                       if fmap(f, t) != ext(lambda e: unit(Y, f(e)), Y, t))),
         )
         for law, failures in scans:
             inputs = next(failures, None)
@@ -288,6 +290,42 @@ def test_fast_paths_report_the_unmemoized_witness(broken, law):
     report = check_monad_laws(broken, [1, 2])
     assert report.witness["law"] == law
     assert report.to_json() == oracle_law_report(broken, [1, 2])
+
+
+class _UnitLaxWriter(WriterMonad):
+    """Writer monad whose lax_c writes the unit label: every law holds on
+    the one set S2."""
+
+    def lax_c(self, t, u):
+        out = super().lax_c(t, u)
+        return self._value(out.base, (self.monoid.label(self.monoid.unit), out.payload[1]))
+
+
+class _ForgetfulMapWriter(_UnitLaxWriter):
+    """_UnitLaxWriter whose map drops the label along every function that is
+    not injective (with the writer's lax_c, c-naturality would see the
+    dropped labels first).  On the one set S2 that is still a functor, since
+    a composite of maps S2 -> S2 is injective exactly when both maps are,
+    and natural for this lax_c, with the writer's own unit and extend; so
+    the first nine laws hold, and mapping along a constant is not extending
+    along the unit after it."""
+
+    def map(self, f, t):
+        out = super().map(f, t)
+        if len(set(f.mapping)) == len(f.mapping):
+            return out
+        return self._value(out.base, (self.monoid.label(self.monoid.unit), out.payload[1]))
+
+
+def test_a_map_that_drops_its_label_fails_only_map_is_unit_extension():
+    broken = _ForgetfulMapWriter(get_monoid("Z2"))
+    report = check_monad_laws(broken, [2])
+    (S2,) = law_sets([2])
+    first_labelled = broken.make(S2, ("1", ("s2_1",)))
+    assert report.witness == {"law": "map_is_unit_extension", "inputs": [first_labelled]}
+    assert report.to_json() == oracle_law_report(broken, [2])
+    # With the writer's own map, every law holds.
+    assert check_monad_laws(_UnitLaxWriter(get_monoid("Z2")), [2]).passed
 
 
 @pytest.fixture
@@ -468,6 +506,7 @@ def test_laws_that_do_not_name_z_are_scanned_once_per_x_and_y(equation_calls):
         "functor_identity": sum(3 * x for x in (1, 2)),
         "unit_naturality": sum(x * y**x for x, y in sizes),
         "c_symmetry": sum(3 * x * 3 * y for x, y in sizes),
+        "map_is_unit_extension": sum(3 * x * y**x for x, y in sizes),
     }
 
 
