@@ -105,6 +105,10 @@ def kernel_from_json(data, bound: int = 16):
             cod = finset_from_json(cod_data)
         columns = []
         raw_cols = data["columns"]
+        keys = set(map(elem_to_str, dom.elements))
+        extra = next((key for key in raw_cols if key not in keys), None)
+        if extra is not None:
+            raise MalformedInput(f"column {extra!r} is not an element of the domain")
         for x in dom.elements:
             key = elem_to_str(x)
             if key not in raw_cols:

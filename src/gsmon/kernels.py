@@ -19,7 +19,7 @@ import itertools
 import random
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import NotNormalizable, TypeMismatch
+from .errors import InvariantViolation, NotNormalizable, TypeMismatch
 from .finset import (
     Elem,
     FinFun,
@@ -200,15 +200,19 @@ def try_effect_inverse(a: Kernel) -> tuple:
     """Invert an effect in the monoid C(X, I) if possible.
 
     Returns (inverse, witness): the inverse kernel and None, or None and the
-    domain element whose T1 scalar has no inverse.
+    domain element whose T1 scalar has no inverse.  Each column's inverse is
+    multiplied back to the unit; one that is not is an InvariantViolation.
     """
     _require_effect(a)
     inst = a.inst
+    one = inst.unit(UNIT, ())
     inverted = []
     for x, col in zip(a.dom.elements, a.columns):
         inv = inst.t1_inverse(col)
         if inv is None:
             return None, x
+        if inst.lax_c(col, inv) != one:
+            raise InvariantViolation(f"{inst.id}: wrong inverse of {inst.value_text(col)}")
         inverted.append(inv)
     return Kernel(inst, a.dom, UNIT, inverted), None
 

@@ -782,9 +782,9 @@ def classify(inst: MonadInstance, trials: int = 200, seed: int = 42) -> Classifi
     Each element that is not the unit goes to the exact solver `t1_inverse`;
     the first with no inverse witnesses "not weakly affine".  Otherwise T1
     is affine if every element examined is the unit, else weakly affine with
-    the first non-unit as its witness.  On samples the solver's answers are
-    re-checked: a witness times a sample is never the unit, and an inverse
-    multiplies back to it.
+    the first non-unit as its witness.  Every inverse the solver returns is
+    multiplied back to the unit, and on samples a witness times a sample is
+    never the unit; a wrong answer is an InvariantViolation.
     """
     one = inst.unit(UNIT, ())
     sampled = not inst.enumerable
@@ -805,7 +805,7 @@ def classify(inst: MonadInstance, trials: int = 200, seed: int = 42) -> Classifi
                 raise InvariantViolation(f"{inst.id}: a sample inverts {inst.value_text(t)}")
             kind, witness = "not_weakly_affine", t
             break
-        if sampled and inst.lax_c(t, inverse) != one:
+        if inst.lax_c(t, inverse) != one:
             raise InvariantViolation(f"{inst.id}: wrong inverse of {inst.value_text(t)}")
         if witness is None:
             kind, witness = "weakly_affine_not_affine", t
@@ -846,18 +846,13 @@ def budgeted_product(pools, owner: str, what: str) -> Iterator[tuple]:
     lists, combinations = [], 1
     for pool in pools:
         lists.append(list(itertools.islice(pool, ENUMERATION_BUDGET + 1)))
-        combinations = _within_budget(combinations * len(lists[-1]), owner, what)
+        combinations *= len(lists[-1])
+        if combinations > ENUMERATION_BUDGET:
+            raise NotEnumerable(
+                f"{owner}: at least {combinations} {what}"
+                f" exceed the enumeration budget of {ENUMERATION_BUDGET}"
+            )
     return itertools.product(*lists)
-
-
-def _within_budget(combinations: int, owner: str, what: str) -> int:
-    """`combinations`, refused with NotEnumerable over ENUMERATION_BUDGET."""
-    if combinations > ENUMERATION_BUDGET:
-        raise NotEnumerable(
-            f"{owner}: at least {combinations} {what}"
-            f" exceed the enumeration budget of {ENUMERATION_BUDGET}"
-        )
-    return combinations
 
 
 def _sample_fun(dom: FinSet, cod: FinSet, rng) -> FinFun:
@@ -989,7 +984,8 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
     domain fixes the base of the values it receives, so there a payload
     names one value; a `lax_c` argument is keyed by the id of its base and
     its payload.  Kernels, functions, bases and memoized values are keyed by
-    id: the pools and memos keep them alive for the table's life.
+    id: the pools, shared by every table of a check, and the memos keep them
+    alive while the table runs.
     One-element randomized pools make every memo a no-op.
     """
     unit_y = lambda e: inst.unit(Y, e)
@@ -1164,42 +1160,31 @@ def _first_failure(laws: tuple, pools: dict, decide: bool = False) -> Optional[d
     return None
 
 
-def law_pools(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> dict:
-    """The exhaustive pools of the law table on (X, Y, Z), in enumeration order."""
+def law_pools(inst: MonadInstance, sets: Sequence[FinSet]) -> dict:
+    """The exhaustive pools of every law table (X, Y, Z) on `sets`, keyed by
+    the table in checking order.
+
+    Each pool is listed once per check: the kernels K(A, B) and functions
+    A -> B once per ordered pair of sets, in the order the tables first meet
+    them, then the values TA once per set.  A table's pools are those shared
+    lists, so two tables share a pool exactly where its variable ranges over
+    the same object.  The first kernel enumeration over ENUMERATION_BUDGET
+    is refused by `budgeted_product`, before any law runs."""
     from .kernels import enumerate_kernels
 
+    pairs = list(itertools.product(sets, repeat=2))
+    kernels = {pair: list(enumerate_kernels(inst, *pair)) for pair in pairs}
+    functions = {pair: list(enumerate_functions(*pair)) for pair in pairs}
+    values = {S: list(inst.enumerate_values(S)) for S in sets}
     return {
-        "t": list(inst.enumerate_values(X)),
-        "u": list(inst.enumerate_values(Y)),
-        "v": list(inst.enumerate_values(Z)),
-        "f": list(enumerate_functions(X, Y)),
-        "g": list(enumerate_functions(Y, Z)),
-        "k": list(enumerate_kernels(inst, X, Y)),
-        "h": list(enumerate_kernels(inst, Y, Z)),
-        "x": X.elements,
+        (X, Y, Z): {
+            "t": values[X], "u": values[Y], "v": values[Z],
+            "f": functions[X, Y], "g": functions[Y, Z],
+            "k": kernels[X, Y], "h": kernels[Y, Z],
+            "x": X.elements,
+        }
+        for X, Y, Z in itertools.product(sets, repeat=3)
     }
-
-
-def law_pairs(inst: MonadInstance, sets: Sequence[FinSet]) -> int:
-    """The kernel pairs (k, h) an exhaustive law check on `sets` compares:
-    the sum over (X, Y, Z) of |K(X, Y)| * |K(Y, Z)|, where |K(X, Y)| =
-    |TY|^|X|.  A kernel enumeration over ENUMERATION_BUDGET is refused here,
-    as `budgeted_product` refuses it, the first one in checking order."""
-    values = {
-        S: sum(1 for _ in itertools.islice(inst.enumerate_values(S), ENUMERATION_BUDGET + 1))
-        for S in sets
-    }
-    kernels = {}
-    for X, Y, Z in itertools.product(sets, repeat=3):
-        for dom, cod in ((X, Y), (Y, Z)):
-            if (dom, cod) not in kernels:
-                count = 1
-                for _ in dom:
-                    count = _within_budget(
-                        count * values[cod], inst.id, f"kernels {dom.name} -> {cod.name}"
-                    )
-                kernels[dom, cod] = count
-    return sum(kernels[X, Y] * kernels[Y, Z] for X, Y, Z in itertools.product(sets, repeat=3))
 
 
 def check_monad_laws(
@@ -1212,10 +1197,13 @@ def check_monad_laws(
     """Verify monad, functor and commutativity laws on small objects.
 
     Exhaustive mode enumerates all values, functions and kernels on objects
-    of the given sizes (requires an enumerator); it is refused before the
-    first law when a kernel enumeration is over ENUMERATION_BUDGET or when it
-    would compare more than LAW_PAIR_BUDGET kernel pairs.  Randomized mode
-    runs seeded trials with freshly sampled ingredients, still compared
+    of the given sizes (requires an enumerator), each pool once per check
+    (`law_pools`).  It is refused before the first law when a kernel
+    enumeration is over ENUMERATION_BUDGET, or when its tables take on more
+    than LAW_PAIR_BUDGET kernel pairs: the sum over the tables of the sizes
+    of the pools of k and h.  A law that held on one table is skipped on
+    every later table where its variables have the same pools.  Randomized
+    mode runs seeded trials with freshly sampled ingredients, still compared
     exactly.
     """
     from .kernels import sample_kernel
@@ -1229,19 +1217,20 @@ def check_monad_laws(
     if mode == "exhaustive":
         if not inst.enumerable:
             raise NotEnumerable(f"{inst.id}: exhaustive law check needs an enumerator")
-        pairs = law_pairs(inst, sets)
+        tables = law_pools(inst, sets)
+        pairs = sum(len(pools["k"]) * len(pools["h"]) for pools in tables.values())
         if pairs > LAW_PAIR_BUDGET:
             raise NotEnumerable(
                 f"{inst.id}: {pairs} kernel pairs of the law check"
                 f" exceed the law-check budget of {LAW_PAIR_BUDGET}"
             )
-        held = set()  # (law, the objects of its variables) for each law that held
-        for X, Y, Z in itertools.product(sets, repeat=3):
-            pools = law_pools(inst, X, Y, Z)
+        held = set()  # (law, the ids of its variables' pools) for each law that held
+        for (X, Y, Z), pools in tables.items():
             # A law holds alike on every table where its variables range over
-            # the same objects, so one that held on such a table is skipped.
-            objs = dict(x=X, t=X, u=Y, v=Z, f=(X, Y), k=(X, Y), g=(Y, Z), h=(Y, Z))
-            scoped = [((law[0], *map(objs.get, law[1])), law) for law in _law_table(inst, X, Y, Z)]
+            # the same pools, so one that held on such a table is skipped.
+            scoped = [
+                ((law[0], *(id(pools[v]) for v in law[1])), law) for law in _law_table(inst, X, Y, Z)
+            ]
             laws = [law for scope, law in scoped if scope not in held]
             witness = _first_failure(laws, pools, decide=True)
             if witness is not None:

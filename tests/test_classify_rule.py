@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from gsmon import cli
 from gsmon.errors import InvariantViolation
-from gsmon.finset import UNIT
+from gsmon.finset import UNIT, FinSet
+from gsmon.kernels import Kernel, try_effect_inverse
 from gsmon.monads import (
     ALL_MONAD_IDS,
     Classification,
@@ -20,11 +22,12 @@ from gsmon.monads import (
     FreeAbelianMonad,
     MeasureMonad,
     NonzeroMeasureMonad,
+    WriterMonad,
     _MeasureBase,
     classify,
     get_instance,
 )
-from gsmon.monoid import MONOID_LIBRARY
+from gsmon.monoid import MONOID_LIBRARY, get_monoid
 from gsmon.rational import Table
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "gsmon").glob("*.py"))
@@ -203,6 +206,18 @@ class _WrongInverse(_MeasureBase):
         return t
 
 
+class _UnitInverseWriter(WriterMonad):
+    """The writer monad over AND, whose T1 solver answers the unit for every
+    element: 0 has no inverse, and 0 AND 1 is 0."""
+
+    def __init__(self):
+        super().__init__(get_monoid("AND"))
+        self.id = "writer:AND/unit-inverse"  # not the memoized writer:AND
+
+    def t1_inverse(self, t):
+        return self.unit(UNIT, ())
+
+
 class _MissedInverse(NonzeroMeasureMonad):
     """M* with a T1 solver that finds no inverse of anything."""
 
@@ -213,6 +228,33 @@ class _MissedInverse(NonzeroMeasureMonad):
 def test_a_wrong_inverse_is_an_invariant_violation():
     with pytest.raises(InvariantViolation, match=r"W: wrong inverse of W\{\*:2\}"):
         classify(_WrongInverse(), trials=3, seed=0)
+
+
+def test_a_wrong_inverse_of_an_enumerated_element_is_an_invariant_violation():
+    inst = _UnitInverseWriter()
+    assert inst.enumerable
+    with pytest.raises(InvariantViolation, match=r"writer:AND/unit-inverse: wrong inverse of"):
+        classify(inst)
+
+
+def test_a_wrong_inverse_of_an_effect_column_is_an_invariant_violation():
+    inst = _UnitInverseWriter()
+    zero = next(t for t in inst.enumerate_values(UNIT) if t != inst.unit(UNIT, ()))
+    one_point = FinSet.of("X1", ["x1"])
+    with pytest.raises(InvariantViolation, match=r"writer:AND/unit-inverse: wrong inverse of"):
+        try_effect_inverse(Kernel(inst, one_point, UNIT, [zero]))
+    # The lawful writer over AND finds no inverse of the same column.
+    lawful = get_instance("writer:AND")
+    column = lawful.make(UNIT, zero.payload)
+    assert try_effect_inverse(Kernel(lawful, one_point, UNIT, [column])) == (None, ("x1",))
+
+
+def test_check_theorem_on_a_wrong_inverse_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "get_instance", lambda *args, **kwargs: _UnitInverseWriter())
+    argv = ["check", "theorem", "--monad", "writer:AND", "--sizes", "1,1,1"]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("gsmon: internal error: writer:AND/unit-inverse: wrong inverse of")
 
 
 def test_a_witness_with_a_sampled_inverse_is_an_invariant_violation():

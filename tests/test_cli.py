@@ -450,6 +450,17 @@ def test_kernel_with_a_bad_column_exits_2(tmp_path, capsys, doc, entries, messag
     assert message in capsys.readouterr().err
 
 
+def test_kernel_with_a_column_outside_its_domain_exits_2(tmp_path, capsys):
+    doc = json.loads(json.dumps(KERNEL_CI))
+    doc["columns"]["a9"] = {"entries": {"bogus": "1"}}
+    path = str(tmp_path / "k.json")
+    dump_json(doc, path)
+    assert main(["check", "ci", "--kernel", path, "--partition", "X|Y"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "column 'a9' is not an element of the domain" in captured.err
+
+
 def test_f_kernel_accepts_integer_and_decimal_string_entries():
     as_text = _with_a0_entries(F_DOC, {"x0,y0": "1", "x1,y0": "-1"})
     assert kernel_from_json(as_text) == kernel_from_json(F_DOC)

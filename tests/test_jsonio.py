@@ -207,6 +207,23 @@ def test_malformed_kernels_rejected(mutate):
         kernel_from_json(data)
 
 
+def test_a_column_outside_the_domain_is_refused_by_its_key():
+    data = {
+        "monad": "M*",
+        "dom": {"name": "A", "elements": ["a0"]},
+        "cod": {"name": "X", "elements": ["x0", "x1"]},
+        "columns": {
+            "a0": {"entries": {"x0": "1"}},
+            "a9": {"entries": {"bogus": "1"}},
+            "a8": {"entries": {"x0": "1"}},
+        },
+    }
+    with pytest.raises(MalformedInput, match=r"^column 'a9' is not an element of the domain$"):
+        kernel_from_json(data)
+    del data["columns"]["a9"], data["columns"]["a8"]
+    assert kernel_from_json(data)[0].columns[0].payload[0] == 1
+
+
 def test_dump_and_load(tmp_path):
     path = str(tmp_path / "doc.json")
     text = dump_json({"b": 1, "a": [True, None]}, path)

@@ -4,6 +4,7 @@ import itertools
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from gsmon import monads
+from gsmon import kernels, monads
 from gsmon.errors import MalformedInput, NotEnumerable, OutOfBound, PayloadInvalid, UnknownMonad
 from gsmon.finset import (
     FinFun,
@@ -35,7 +36,6 @@ from gsmon.monads import (
     check_monad_laws,
     classify,
     get_instance,
-    law_pairs,
 )
 from gsmon.monoid import MONOID_LIBRARY, FiniteMonoid, get_monoid
 from gsmon.rational import Table
@@ -411,8 +411,7 @@ PATTERN_CASES = (
 def test_pattern_decision_agrees_with_the_row_oracle(name, sizes):
     inst = BROKEN_WRITERS.get(name) or get_instance(name)
     new, old = [], []
-    for X, Y, Z in itertools.product(law_sets(sizes), repeat=3):
-        pools = monads.law_pools(inst, X, Y, Z)
+    for (X, Y, Z), pools in monads.law_pools(inst, law_sets(sizes)).items():
         new.append(monads._decides(kleisli_assoc_decision(inst, X, Y, Z), pools))
         old.append(monads._decides(lambda p: rows_assoc_holds(inst, X, Y, Z, p), pools))
     assert new == old
@@ -442,7 +441,7 @@ def test_kleisli_assoc_compares_one_h_column_per_pattern(monkeypatch):
     monkeypatch.setattr(
         monads, "_first_per_pattern", lambda *args: patterns.append(first(*args)) or patterns[-1]
     )
-    pools = monads.law_pools(inst, S3, S3, S3)
+    pools = monads.law_pools(inst, [S3])[S3, S3, S3]
     assert kleisli_assoc_decision(inst, S3, S3, S3)(pools)
     # writer:Z2 has 6 values over S3, so 216 kernels k and 216 kernels h,
     # 46,656 pairs (k, h).  An extension of (a, x) reads the column at x
@@ -456,8 +455,9 @@ def test_kleisli_assoc_compares_one_h_column_per_pattern(monkeypatch):
 @pytest.mark.parametrize("monad_id", ["F(B=1)", "F(B=2)", "writer:Z3"])
 def test_kleisli_assoc_without_measuring_extends_as_often_as_the_rows(monkeypatch, monad_id):
     inst = get_instance(monad_id)
-    X, Y, Z = (law_sets([n])[0] for n in (2, 1, 2))
-    pools = monads.law_pools(inst, X, Y, Z)
+    S1, S2 = law_sets([1, 2])
+    X, Y, Z = S2, S1, S2
+    pools = monads.law_pools(inst, [S1, S2])[X, Y, Z]
     # |M|^|X| * |TX| exceeds the pairs (k, h) on this table, so M^X is not
     # listed: every k is its own representative.
     monkeypatch.setattr(monads, "_first_per_pattern", lambda *args: pytest.fail("measured"))
@@ -510,31 +510,78 @@ def test_laws_that_do_not_name_z_are_scanned_once_per_x_and_y(equation_calls):
     }
 
 
-def test_law_pairs_counts_kernel_pairs_per_table():
+@pytest.fixture
+def refused_pairs(monkeypatch):
+    """The kernel-pair figure with which check_monad_laws refuses a law check,
+    with no law run and LAW_PAIR_BUDGET at 0."""
+    monkeypatch.setattr(monads, "_law_table", lambda *a: pytest.fail("a law ran"))
+    monkeypatch.setattr(monads, "LAW_PAIR_BUDGET", 0)
+
+    def pairs(monad_id, sizes):
+        with pytest.raises(NotEnumerable) as refusal:
+            check_monad_laws(get_instance(monad_id), sizes)
+        match = re.fullmatch(
+            rf"{re.escape(monad_id)}: (\d+) kernel pairs of the law check"
+            " exceed the law-check budget of 0",
+            str(refusal.value),
+        )
+        assert match, str(refusal.value)
+        return int(match.group(1))
+
+    return pairs
+
+
+def test_law_check_refusals_count_kernel_pairs_per_table(refused_pairs):
     # |K(X, Y)| = |TY|^|X|; writer:Z3 has 3 |S| values over S.
     k = {(x, y): (3 * y) ** x for x in (1, 2) for y in (1, 2)}
     expected = sum(k[x, y] * k[y, z] for x, y, z in itertools.product((1, 2), repeat=3))
-    assert law_pairs(get_instance("writer:Z3"), law_sets([1, 2])) == expected
-    assert law_pairs(get_instance("writer:Z3"), law_sets([1, 2, 3])) == 829278
-    assert law_pairs(get_instance("writer:Z2xZ2"), law_sets([1, 2, 3])) == 4473568
-    # A kernel enumeration over its own budget is refused as budgeted_product words it.
+    assert refused_pairs("writer:Z3", [1, 2]) == expected
+    assert refused_pairs("writer:Z3", [1, 2, 3]) == 829278
+    assert refused_pairs("writer:Z2xZ2", [1, 2, 3]) == 4473568
+    # A kernel enumeration over its own budget is refused by budgeted_product,
+    # before the pairs are counted.
     with pytest.raises(NotEnumerable, match="at least 1185921 kernels S2 -> S2 exceed"):
-        law_pairs(get_instance("F"), law_sets([2]))
+        check_monad_laws(get_instance("F"), [2])
 
 
 def test_law_check_over_a_budget_is_refused_before_any_law(monkeypatch):
     monkeypatch.setattr(monads, "_law_table", lambda *a: pytest.fail("a law ran"))
-    # The kernels S1 -> S3 of F (35,937 of them) are first met at (S1, S1, S3),
-    # after the laws of (S1, S1, S1).
+    # The kernels S1 -> S3 of F (35,937 of them) are the second pool listed,
+    # after the kernels S1 -> S1.
     with pytest.raises(NotEnumerable, match="at least 20001 kernels S1 -> S3 exceed"):
         check_monad_laws(get_instance("F"), [1, 3])
     monkeypatch.setattr(monads, "LAW_PAIR_BUDGET", 100)
-    inst = get_instance("writer:Z2")
-    pairs = law_pairs(inst, law_sets([1, 2]))
+    # writer:Z2 has 2 |S| values over S, so |K(X, Y)| = (2 |Y|)^|X|.
+    k = {(x, y): (2 * y) ** x for x in (1, 2) for y in (1, 2)}
+    pairs = sum(k[x, y] * k[y, z] for x, y, z in itertools.product((1, 2), repeat=3))
     with pytest.raises(NotEnumerable, match=f"{pairs} kernel pairs of the law check exceed"
                                             " the law-check budget of 100"):
-        check_monad_laws(inst, [1, 2])
+        check_monad_laws(get_instance("writer:Z2"), [1, 2])
     assert LAW_PAIR_BUDGET == 10**7
+
+
+def test_each_kernel_pool_is_listed_once_per_ordered_pair_of_sets(monkeypatch):
+    calls, enumerate_kernels = [], kernels.enumerate_kernels
+
+    def counted(inst, dom, cod):
+        calls.append((dom.name, cod.name))
+        return enumerate_kernels(inst, dom, cod)
+
+    monkeypatch.setattr(kernels, "enumerate_kernels", counted)
+    assert check_monad_laws(get_instance("writer:Z2"), [1, 2, 3]).passed
+    names = [f"S{n}" for n in (1, 2, 3)]
+    assert calls == list(itertools.product(names, repeat=2))
+
+
+def test_every_table_shares_the_pools_of_its_objects():
+    S1, S2 = law_sets([1, 2])
+    tables = monads.law_pools(get_instance("writer:Z2"), [S1, S2])
+    assert list(tables) == list(itertools.product([S1, S2], repeat=3))
+    a, b = tables[S1, S2, S1], tables[S2, S1, S2]
+    assert a["t"] is a["v"] is b["u"] and a["u"] is b["t"]
+    assert a["k"] is not a["h"] and a["k"] is tables[S1, S2, S2]["k"]
+    assert a["h"] is b["k"] and a["g"] is b["f"] and a["g"] is not a["h"]
+    assert a["x"] is S1.elements
 
 
 def test_randomized_law_check_finds_the_broken_assoc():
