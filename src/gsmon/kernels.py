@@ -19,7 +19,7 @@ import itertools
 import random
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import InvariantViolation, NotNormalizable, TypeMismatch
+from .errors import NotNormalizable, TypeMismatch
 from .finset import (
     Elem,
     FinFun,
@@ -30,7 +30,7 @@ from .finset import (
     swap_fun,
     terminal_fun,
 )
-from .monads import MonadInstance, TValue, budgeted_product
+from .monads import MonadInstance, TValue, budgeted_product, checked_t1_inverse
 from .report import CheckReport
 
 
@@ -208,11 +208,9 @@ def try_effect_inverse(a: Kernel) -> tuple:
     one = inst.unit(UNIT, ())
     inverted = []
     for x, col in zip(a.dom.elements, a.columns):
-        inv = inst.t1_inverse(col)
+        inv = checked_t1_inverse(inst, col, one)
         if inv is None:
             return None, x
-        if inst.lax_c(col, inv) != one:
-            raise InvariantViolation(f"{inst.id}: wrong inverse of {inst.value_text(col)}")
         inverted.append(inv)
     return Kernel(inst, a.dom, UNIT, inverted), None
 

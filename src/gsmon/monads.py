@@ -248,10 +248,9 @@ class _TableMonad(MonadInstance):
     scalar_from_json = staticmethod(parse_rat)
 
     def validate(self, base: FinSet, payload):
-        """A Table is taken as it is: its constructor checks and reduces its
-        input, and nothing re-checks a table whose fields were assigned after
-        construction.  Anything else is read as a sequence of entries by
-        `_table_of`."""
+        """A Table is taken as it is: its constructor checked and reduced
+        its input, and its fields are read-only.  Anything else is read as a
+        sequence of entries by `_table_of`."""
         table = payload if type(payload) is Table else self._table_of(payload)
         if len(table.nums) != len(base.elements):
             raise PayloadInvalid(f"{self.id}: table size does not match {base.name}")
@@ -331,7 +330,7 @@ class _TableMonad(MonadInstance):
     def value_text(self, t: TValue) -> str:
         entries = [
             f"{elem_to_str(e)}:{format_rat(v)}"
-            for e, v in zip(t.base.elements, t.payload)
+            for e, v in zip(t.base.elements, t.payload.entries())
             if v != 0
         ]
         return f"{self.id}{{{', '.join(entries)}}}" if entries else f"{self.id}{{zero}}"
@@ -340,7 +339,7 @@ class _TableMonad(MonadInstance):
         return {
             "entries": {
                 elem_to_str(e): self.scalar_to_json(v)
-                for e, v in zip(t.base.elements, t.payload)
+                for e, v in zip(t.base.elements, t.payload.entries())
                 if v != 0
             }
         }
@@ -770,7 +769,17 @@ _NOTES = {
 
 def _scalar(t: TValue) -> str:
     """A T1 value as a scalar: a table's one entry, any other value's text."""
-    return format_rat(t.payload[0]) if type(t.payload) is Table else t.describe()
+    return format_rat(t.payload.entries()[0]) if type(t.payload) is Table else t.describe()
+
+
+def checked_t1_inverse(inst: MonadInstance, t: TValue, one: TValue) -> Optional[TValue]:
+    """The solver's inverse of `t` in T1, or None when it finds none.  The
+    inverse is multiplied back to `one`, the unit of T1; a wrong one is an
+    InvariantViolation."""
+    inverse = inst.t1_inverse(t)
+    if inverse is not None and inst.lax_c(t, inverse) != one:
+        raise InvariantViolation(f"{inst.id}: wrong inverse of {inst.value_text(t)}")
+    return inverse
 
 
 def classify(inst: MonadInstance, trials: int = 200, seed: int = 42) -> Classification:
@@ -799,14 +808,11 @@ def classify(inst: MonadInstance, trials: int = 200, seed: int = 42) -> Classifi
     for t in candidates + elements:
         if t == one:
             continue
-        inverse = inst.t1_inverse(t)
-        if inverse is None:
+        if checked_t1_inverse(inst, t, one) is None:
             if sampled and any(inst.lax_c(t, b) == one for b in elements):
                 raise InvariantViolation(f"{inst.id}: a sample inverts {inst.value_text(t)}")
             kind, witness = "not_weakly_affine", t
             break
-        if inst.lax_c(t, inverse) != one:
-            raise InvariantViolation(f"{inst.id}: wrong inverse of {inst.value_text(t)}")
         if witness is None:
             kind, witness = "weakly_affine_not_affine", t
     evidence = "solver-asserted" if sampled else "exhaustive"
@@ -830,10 +836,12 @@ def classification_of(inst: MonadInstance) -> Classification:
 ENUMERATION_BUDGET = 20000
 
 # The most kernel pairs (k, h) one exhaustive law check may take on.  The
-# decisions compare far fewer terms (writer:Z2xZ2 at sizes 1,2,3 has 4.5e6
-# pairs and is decided in about 0.5 CPU seconds, F(B=2) at sizes 1,2 has
-# 4.2e5 pairs and takes about 3 s), but a law whose decision says False is
-# scanned tuple by tuple, and the budget bounds that scan.
+# decisions mostly compare far fewer terms (writer:Z2xZ2 at sizes 1,2,3 has
+# 4.5e6 pairs and is decided in about 0.5 CPU seconds), but the budget
+# bounds two walks over the pairs: `assoc_by_patterns` compares every (k, h)
+# per t where it does not measure the read columns (F(B=2) at sizes 1,2 has
+# 4.2e5 pairs and takes about 3 s), and a law whose decision says False is
+# scanned tuple by tuple.
 LAW_PAIR_BUDGET = 10**7
 
 

@@ -6,19 +6,21 @@ in JSON payloads: ``"p/q"``, or ``"p"`` when the denominator is 1, with an
 optional leading ``-``.
 
 A table of scalars -- the payload of the measure and free-abelian monads --
-is a `Table`: a tuple of integer numerators over one positive denominator,
-in canonical form gcd(den, *nums) = 1, so that the zero table is stored over
-1 and an integer table (every value of F) over 1.  Two tables are equal
-exactly when their entries are, and then have equal hashes.  Arithmetic on
-tables, the scalar interface of `Table` included, is integer arithmetic
-with one gcd per table; only the text and JSON forms of a value read exact
-``Fraction`` entries, by iterating or indexing a table.
+is a `Table`: the immutable pair (nums, den) of a tuple of integer
+numerators and one positive denominator, in canonical form gcd(den, *nums)
+= 1, so that the zero table is stored over 1 and an integer table (every
+value of F) over 1.  Two tables are equal exactly when their entries are,
+and then have equal hashes: those of the pair.  Arithmetic on tables, the
+scalar interface of `Table` included, is integer arithmetic with one gcd
+per table; only the text and JSON forms of a value read exact ``Fraction``
+entries, through `Table.entries`.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -45,7 +47,7 @@ def format_rat(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-class Table:
+class Table(namedtuple("Table", "nums den")):
     """The entries nums[i] / den, in canonical form: gcd(den, *nums) = 1.
 
     Every table is canonical when built.  The public constructor
@@ -54,10 +56,11 @@ class Table:
     otherwise -- and reduces it.  The arithmetic of this module and of the
     table monads builds tables from ints it has computed itself, unchecked,
     through `_table` (already canonical), or `_reduced` and `_scaled`, which
-    reduce.  The fields are not frozen: nothing re-checks a table whose
-    fields are assigned after construction."""
+    reduce.  A table is a tuple, so its fields are read-only, and `==` and
+    `hash` are those of the pair; a copy, a pickle (protocol 2 and up) and
+    `_replace` go through the checked constructor."""
 
-    __slots__ = ("nums", "den")
+    __slots__ = ()
 
     def __new__(cls, nums: tuple, den: int = 1) -> "Table":
         if type(nums) is not tuple or any(type(n) is not int for n in nums):
@@ -68,8 +71,9 @@ class Table:
             raise ValueError(f"table denominator must be at least 1, got {den}")
         return _reduced(nums, den)
 
-    def __reduce__(self):
-        return Table, (self.nums, self.den)
+    @classmethod
+    def _make(cls, pair) -> "Table":
+        return cls(*pair)
 
     @classmethod
     def of_entries(cls, entries) -> "Table":
@@ -127,38 +131,19 @@ class Table:
         first = _scaled(slices[0], den, den ** (n - 1), lead)
         return [first] + [_reduced(s, den) for s in slices[1:]], None
 
-    def __len__(self) -> int:
-        return len(self.nums)
-
-    def __iter__(self):
+    def entries(self) -> tuple:
+        """The exact entries, as Fractions."""
         den = self.den
-        return (Fraction(n, den) for n in self.nums)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return Fraction(self.nums[i], self.den)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not Table:
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
-
-    def __hash__(self) -> int:
-        return hash((self.nums, self.den))
+        return tuple([Fraction(n, den) for n in self.nums])
 
     def __repr__(self) -> str:
         return f"Table({self.nums!r}, {self.den!r})"
 
 
-_blank = object.__new__
-
-
 def _table(nums: tuple, den: int) -> Table:
     """The table nums / den, unchecked: `nums` a tuple of ints and `den` an
     int >= 1, with gcd(den, *nums) = 1."""
-    t = _blank(Table)
-    t.nums = nums
-    t.den = den
-    return t
+    return tuple.__new__(Table, (nums, den))
 
 
 def _reduced(nums, den: int) -> Table:

@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .errors import GsmonError
-from .rational import format_rat
 
 
 def require_mode(mode: str) -> None:
@@ -20,8 +18,6 @@ def show(value) -> object:
     """Render a witness value as JSON-stable data (strings, lists, dicts)."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
-    if isinstance(value, Fraction):
-        return format_rat(value)
     if isinstance(value, dict):
         return {str(k): show(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -105,8 +105,8 @@ def test_criterion_3_classification_table():
             ok = False
         if kind != "affine" and cls.witness is None:
             ok = False
-    ok = ok and tuple(classify(get_instance("M")).witness.payload) == (Fraction(0),)
-    ok = ok and tuple(classify(get_instance("F")).witness.payload) == (2,)
+    ok = ok and classify(get_instance("M")).witness.payload.entries() == (Fraction(0),)
+    ok = ok and classify(get_instance("F")).witness.payload.entries() == (2,)
     report_line(3, "affine / weakly affine classification", ok)
 
 
@@ -126,10 +126,10 @@ def test_criterion_4_theorem_harness():
     if not r_m.passed and r_m.witness and "cone" in r_m.witness:
         (u0, u1), (v0, v1) = r_m.witness["cone"]
         shape_ok = (
-            all(v == 0 for v in u0.payload)
-            and all(v == 0 for v in v1.payload)
-            and any(v != 0 for v in u1.payload)
-            and any(v != 0 for v in v0.payload)
+            all(v == 0 for v in u0.payload.entries())
+            and all(v == 0 for v in v1.payload.entries())
+            and any(v != 0 for v in u1.payload.entries())
+            and any(v != 0 for v in v0.payload.entries())
         )
     report_line(4, "three equivalent conditions", ok and shape_ok)
 
@@ -235,7 +235,7 @@ def test_criterion_8_section5_squares():
     witness_ok = False
     if not r.passed and r.witness:
         x, ty = r.witness["apex"]
-        witness_ok = x in sq.tl[0].space and all(v == 0 for v in ty.payload)
+        witness_ok = x in sq.tl[0].space and all(v == 0 for v in ty.payload.entries())
     ok = witness_ok
     for monad_id, mode in [
         ("Id", "exhaustive"),

@@ -47,7 +47,7 @@ def entries(payload):
     """The payload as `make` takes it from outside: a table as its exact
     entries, whole ones as ints (F takes nothing else)."""
     if isinstance(payload, Table):
-        return tuple(int(v) if v.denominator == 1 else v for v in payload)
+        return tuple(int(v) if v.denominator == 1 else v for v in payload.entries())
     return payload
 
 

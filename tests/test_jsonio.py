@@ -177,7 +177,7 @@ def test_kernel_with_factor_codomain():
     k, factors = kernel_from_json(data)
     assert [f.name for f in factors] == ["X", "Y"]
     assert k.cod == product([X, Y])
-    assert k(("a0",)).payload[0] == Fraction(1, 2)
+    assert k(("a0",)).payload.entries()[0] == Fraction(1, 2)
 
 
 @pytest.mark.parametrize(
@@ -221,7 +221,7 @@ def test_a_column_outside_the_domain_is_refused_by_its_key():
     with pytest.raises(MalformedInput, match=r"^column 'a9' is not an element of the domain$"):
         kernel_from_json(data)
     del data["columns"]["a9"], data["columns"]["a8"]
-    assert kernel_from_json(data)[0].columns[0].payload[0] == 1
+    assert kernel_from_json(data)[0].columns[0].payload.entries()[0] == 1
 
 
 def test_dump_and_load(tmp_path):

@@ -1,8 +1,8 @@
 """Where scalars are read: `rational.Table` owns the scalar arithmetic.
 
 Only `rational` and the table monads (`monads`) read a table's numerators
-and denominator, and only `rational` and the text forms (`report`) use
-`fractions`.  Every other module computes through `Table` methods, and
+and denominator, and only `rational` uses `fractions`: the text forms read
+a table's exact entries through `Table.entries`.  Every other module computes through `Table` methods, and
 only through its closed operations: the measure arithmetic (`pivot`, `over`,
 `outer_factors`, `normalized`, `scaled`) is called in `monads` alone, where
 the instances that need it offer it as their own methods.  No module names
@@ -67,7 +67,8 @@ def test_the_sources_are_found():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_only_rational_and_report_import_fractions(path):
-    if path.name in ("rational.py", "report.py"):
+    # No witness holds a Fraction, so `report` renders none.
+    if path.name == "rational.py":
         return
     assert not imports_fractions(ast.parse(path.read_text())), path.name
 

@@ -66,10 +66,10 @@ def test_assoc_pullback_fails_for_m_with_zero_cone():
     assert not report.passed
     (u0, u1), (v0, v1) = report.witness["cone"]
     # the counterexample has the shape ((0, p), (q, 0)) with p, q nonzero
-    assert all(v == 0 for v in u0.payload)
-    assert all(v == 0 for v in v1.payload)
-    assert any(v != 0 for v in u1.payload)
-    assert any(v != 0 for v in v0.payload)
+    assert all(v == 0 for v in u0.payload.entries())
+    assert all(v == 0 for v in v1.payload.entries())
+    assert any(v != 0 for v in u1.payload.entries())
+    assert any(v != 0 for v in v0.payload.entries())
 
 
 def wrong_middle_factor(square):
@@ -78,7 +78,7 @@ def wrong_middle_factor(square):
 
     def solver(u, v):
         t_x, t_y, t_z = solve(u, v)
-        return t_x, inst.make(t_y.base, tuple(2 * w for w in t_y.payload)), t_z
+        return t_x, inst.make(t_y.base, tuple(2 * w for w in t_y.payload.entries())), t_z
 
     square.solver = solver
     return square
@@ -103,7 +103,7 @@ def test_strong_affine_square_fails_to_commute_for_m():
     assert not report.passed
     x, ty = report.witness["apex"]
     assert x in X
-    assert all(v == 0 for v in ty.payload)  # the witness is (x, 0)
+    assert all(v == 0 for v in ty.payload.entries())  # the witness is (x, 0)
 
 
 def test_strong_affine_square_pullback_for_d():
@@ -414,7 +414,7 @@ def test_bounded_f_mediator_counts_agree_one_bound_up(kind, sizes, bound):
         n, m = small_counts.get(key, 0), large_counts.get(key, 0)
         assert min(n, 2) == min(m, 2), key
         classes.add(min(n, 2))
-        if kind == "assoc" and not any(any(t.payload) for t in u + v):
+        if kind == "assoc" and not any(any(t.payload.entries()) for t in u + v):
             # The all-zero cone: the middle factor is free.
             zero_cones += 1
             y = sizes[1]

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from gsmon.errors import PayloadInvalid
 from gsmon.finset import FinSet, product
 from gsmon.monads import SAMPLE_DEN_MAX, SAMPLE_NUM_MAX, TValue, get_instance
-from gsmon.rational import Table
+from gsmon.rational import Table, _table
 
 F = Fraction
 SETS = [FinSet.of(f"T{n}", [f"t{n}_{i}" for i in range(n)]) for n in range(4)]
@@ -118,9 +118,25 @@ def test_no_malformed_table_is_built(nums, den, error):
 
 
 def test_a_table_survives_copy_and_pickle():
+    # Each round trip goes through the checked constructor: an unchecked
+    # pair comes back reduced, or is refused.
     t = Table((3, 6), 9)
-    for copied in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+    unreduced, malformed = _table((2, 4), 2), _table([1.5, True], 1)
+    round_trips = [
+        copy.copy,
+        copy.deepcopy,
+        lambda x: pickle.loads(pickle.dumps(x)),
+        lambda x: x._replace(),
+    ]
+    for round_trip in round_trips:
+        copied = round_trip(t)
         assert copied == t and pair(copied) == ((1, 2), 3)
+        assert pair(round_trip(unreduced)) == ((1, 2), 1)
+        with pytest.raises(TypeError):
+            round_trip(malformed)
+    assert pair(Table((2, 4))._replace(den=2)) == ((1, 2), 1)
+    with pytest.raises(TypeError):
+        Table((1, 2))._replace(nums=[1.5, True])
 
 
 # -- lax_c: reduced from its factors --------------------------------------------
@@ -241,3 +257,61 @@ def test_scaled_is_the_reduced_product():
             table = Table.of_entries(entries)
             for p, q in FACTORS:
                 assert pair(table.scaled(p, q)) == old_scaled(table, p, q), (entries, p, q)
+
+
+# -- the pair: frozen, compared and hashed as a tuple ---------------------------
+
+
+def old_eq(a: Table, b: Table) -> bool:
+    """`Table.__eq__` as it was written by hand, on two tables."""
+    return a.den == b.den and a.nums == b.nums
+
+
+def small_tables() -> list:
+    """The table of every value of F(B=2), and of M, M* and D with entries
+    from their `LAX_POOLS`, over sets of sizes 0 to 2."""
+    out = []
+    for base in SETS[:3]:
+        out += [t.payload for t in get_instance("F", bound=2).enumerate_values(base)]
+        for monad_id in ("M", "M*", "D"):
+            inst = get_instance(monad_id)
+            for entries in itertools.product(LAX_POOLS[monad_id], repeat=len(base)):
+                try:
+                    out.append(inst.make(base, entries).payload)
+                except PayloadInvalid:
+                    continue
+    return out
+
+
+def test_a_table_cannot_be_changed_after_it_is_built():
+    m, X = get_instance("M"), SETS[2]
+    t = Table((1, 2))
+    for field in ("nums", "den"):
+        with pytest.raises(AttributeError):
+            setattr(t, field, [1.5, True])
+        with pytest.raises(AttributeError):
+            delattr(t, field)
+    with pytest.raises(AttributeError):
+        t.other = 1
+    value = m.make(X, t)
+    assert pair(value.payload) == ((1, 2), 1)
+    assert value == m.make(X, (1, 2)) and hash(value) == hash(m.make(X, (1, 2)))
+    assert value.describe() == "M{t2_0:1, t2_1:2}"
+
+
+def test_a_table_compares_and_hashes_as_its_pair():
+    tables = small_tables()
+    assert len(set(tables)) < len(tables)  # equal tables of different monads meet
+    for t in tables:
+        assert tuple(t) == (t.nums, t.den) and hash(t) == hash((t.nums, t.den))
+    for a, b in itertools.product(tables, repeat=2):
+        assert (a == b) == old_eq(a, b) and (a != b) == (not old_eq(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SIGNED_TABLES, SIGNED_TABLES, st.integers(1, 6))
+def test_drawn_tables_compare_and_hash_as_their_pairs(a, b, k):
+    for u, v in ((a, b), (a, a.scaled(k, k)), (Table(b.nums, k), b)):
+        assert tuple(u) == (u.nums, u.den) and hash(u) == hash((u.nums, u.den))
+        assert tuple(v) == (v.nums, v.den) and hash(v) == hash((v.nums, v.den))
+        assert (u == v) == old_eq(u, v) and (u != v) == (not old_eq(u, v))

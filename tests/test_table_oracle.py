@@ -94,7 +94,7 @@ def oracle_scale(inst, base, payload, p, q):
 def agrees(inst, value, base, entries):
     """`value` has the oracle's base and entries, in the canonical form."""
     assert value.base == base
-    assert tuple(value.payload) == entries, (inst.id, value, entries)
+    assert value.payload.entries() == entries, (inst.id, value, entries)
     made = inst.make(base, entries)
     assert value == made and hash(value) == hash(made)
 
@@ -296,7 +296,7 @@ def oracle_ci_rank1(f, factors, partition):
     sizes = [len(b) for b in blocks]
     factor_columns = [[] for _ in range(n)]
     for col in columns:
-        vecs, j = oracle_outer_factors(tuple(col.payload), sizes)
+        vecs, j = oracle_outer_factors(col.payload.entries(), sizes)
         if j is not None:
             return CIResult(
                 False,
@@ -306,7 +306,7 @@ def oracle_ci_rank1(f, factors, partition):
                     "index": [blocks[k].elements[j[k]] for k in range(n)],
                 },
             )
-        if oracle_pivot(tuple(col.payload)) is not None and classification_of(inst).kind == "affine":
+        if oracle_pivot(col.payload.entries()) is not None and classification_of(inst).kind == "affine":
             vecs = [[v / sum(vec) for v in vec] for vec in vecs]
         for k in range(n):
             factor_columns[k].append(inst.make(blocks[k], tuple(vecs[k])))
@@ -318,18 +318,18 @@ def oracle_measure_solver(inst, x, y, z, u, v):
     yz, xy = product([y, z]), product([x, y])
     t_x, t_yz = u
     t_xy, t_z = v
-    z0 = oracle_pivot(tuple(t_z.payload))
+    z0 = oracle_pivot(t_z.payload.entries())
     if z0 is not None:
-        zc = t_z.payload[z0]
+        zc = t_z.payload.entries()[z0]
         z_elem = z.elements[z0]
-        by_vals = tuple(t_yz.payload[yz.index(ye + z_elem)] / zc for ye in y.elements)
+        by_vals = tuple(t_yz.payload.entries()[yz.index(ye + z_elem)] / zc for ye in y.elements)
     else:
-        x0 = oracle_pivot(tuple(t_x.payload))
+        x0 = oracle_pivot(t_x.payload.entries())
         if x0 is None:
             return None
-        xc = t_x.payload[x0]
+        xc = t_x.payload.entries()[x0]
         x_elem = x.elements[x0]
-        by_vals = tuple(t_xy.payload[xy.index(x_elem + ye)] / xc for ye in y.elements)
+        by_vals = tuple(t_xy.payload.entries()[xy.index(x_elem + ye)] / xc for ye in y.elements)
     try:
         by = inst.make(y, by_vals)
     except PayloadInvalid:
@@ -340,7 +340,7 @@ def oracle_measure_solver(inst, x, y, z, u, v):
 
 
 def oracle_t1_inverse(inst, t):
-    v = t.payload[0]
+    v = t.payload.entries()[0]
     return None if v == 0 else inst.make(UNIT, (1 / v,))
 
 
@@ -351,22 +351,22 @@ def readers_agree(entries, sizes):
     assert table.pivot() == oracle_pivot(entries)
     total = sum(entries)
     if total != 0:
-        assert tuple(table.normalized()) == tuple(v / total for v in entries)
+        assert table.normalized().entries() == tuple(v / total for v in entries)
     for p, q in FACTORS:
-        assert tuple(table.scaled(p, q)) == tuple(v * F(p, q) for v in entries)
+        assert table.scaled(p, q).entries() == tuple(v * F(p, q) for v in entries)
     for i, d in enumerate(entries):
         if d != 0:
             pivot = Table.of_entries((F(1, 7), d))
             indices = range(i, len(entries))
             got = table.over(indices, pivot, 1)
-            assert tuple(got) == tuple(entries[j] / d for j in indices)
-            assert got == Table.of_entries(tuple(got))  # canonical form
+            assert got.entries() == tuple(entries[j] / d for j in indices)
+            assert got == Table.of_entries(got.entries())  # canonical form
     factors, failure = table.outer_factors(sizes)
     vecs, j = oracle_outer_factors(entries, sizes)
     assert failure == j
     if j is None:
-        assert [tuple(t) for t in factors] == [tuple(vec) for vec in vecs]
-        assert all(t == Table.of_entries(tuple(t)) for t in factors)
+        assert [t.entries() for t in factors] == [tuple(vec) for vec in vecs]
+        assert all(t == Table.of_entries(t.entries()) for t in factors)
 
 
 # Signed entries: the readers are the scalar interface of every table.
