@@ -16,7 +16,7 @@ import os
 import re
 import sys
 
-from .errors import GsmonError, InvariantViolation
+from .errors import GsmonError, InvariantViolation, MalformedInput
 from .independence import check_ci, check_local_independence
 from .jsonio import dump_json, kernel_from_json, load_json, write_text
 from .monads import ALL_MONAD_IDS, check_monad_laws, classify, get_instance
@@ -286,8 +286,18 @@ def cmd_report(args) -> int:
     versions = set()
     for path in args.inputs:
         doc = load_json(path)
+        # The merge reads `tool` as a string and each check's boolean
+        # `passed` and string `note`: anything else is not a gsmon document.
+        entries = doc.get("checks") if isinstance(doc, dict) else None
+        if not (isinstance(entries, list) and isinstance(doc.get("tool", ""), str) and all(
+            isinstance(c, dict)
+            and type(c.get("passed")) is bool
+            and isinstance(c.get("note", ""), str)
+            for c in entries
+        )):
+            raise MalformedInput(f"{path} is not a gsmon document")
         versions.add(doc.get("tool", "unknown"))
-        checks.extend(doc.get("checks", []))
+        checks.extend(entries)
     merged = _document({"command": "report", "inputs": list(args.inputs)}, checks)
     if len(versions) > 1:
         merged["warning"] = "inputs produced by different tool versions: " + ", ".join(

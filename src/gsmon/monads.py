@@ -824,8 +824,12 @@ _classify_cache: dict = {}
 
 
 def classification_of(inst: MonadInstance) -> Classification:
-    """classify() with default evidence parameters, memoized by `inst.id`."""
-    return _once(_classify_cache, inst.id, classify, inst)
+    """classify() with default evidence parameters, memoized by the
+    instance's class and id."""
+    key = type(inst), inst.id
+    if key not in _classify_cache:
+        _classify_cache[key] = classify(inst)
+    return _classify_cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -865,17 +869,6 @@ def budgeted_product(pools, owner: str, what: str) -> Iterator[tuple]:
 
 def _sample_fun(dom: FinSet, cod: FinSet, rng) -> FinFun:
     return FinFun(dom, cod, tuple(rng.randrange(len(cod)) for _ in dom))
-
-
-_MISSING = object()
-
-
-def _once(memo: dict, key, compute, *args):
-    """compute(*args), stored in `memo` under `key` on first use."""
-    out = memo.get(key, _MISSING)
-    if out is _MISSING:
-        memo[key] = out = compute(*args)
-    return out
 
 
 class _Memo(dict):
@@ -976,39 +969,19 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
 
     Kleisli associativity is decided per t for one kernel k per pattern of
     the columns that extension at t reads.  Those columns are measured, not
-    assumed: ext(k, t) over every k in TY^X and extend(m, t) over every m in
-    M^X (M the values ext(h, s), so M^X holds every composite h . k) are
-    functions over full products, and a coordinate whose change alone never
-    changes the value is not read.  Changing the unread coordinates one at
-    a time, inside the product, shows that the value depends on the read
-    ones alone.  Where listing M^X for every t would take more extensions
+    assumed: extend(k, t) over every k in TY^X and extend(m, t) over every
+    m in M^X (M the values extend(h, s), so M^X holds every composite
+    h . k) are functions over full products, and a coordinate whose change
+    alone never changes the value is not read.  Changing the unread
+    coordinates one at a time, inside the product, shows that the value
+    depends on the read ones alone.  Where listing M^X for every t would take more extensions
     than there are pairs (k, h) (F at a large bound), nothing is measured:
     every k is its own pattern, in the same per-t loop, and only the
     composites met are extended.
-
-    Sub-terms of the scan are memoized per table: `extend(k, t)` per kernel
-    and payload, `map(f, t)` per function and payload, and `lax_c` per pair
-    of values; the decisions share the last two.  A kernel's or function's
-    domain fixes the base of the values it receives, so there a payload
-    names one value; a `lax_c` argument is keyed by the id of its base and
-    its payload.  Kernels, functions, bases and memoized values are keyed by
-    id: the pools, shared by every table of a check, and the memos keep them
-    alive while the table runs.
-    One-element randomized pools make every memo a no-op.
     """
     unit_y = lambda e: inst.unit(Y, e)
     id_x = identity_fun(X)
     swap_xy = swap_fun(X, Y)
-    ext_memo, map_memo, c_memo = {}, {}, {}
-
-    def ext(kern, cod, t):
-        return _once(ext_memo, (id(kern), t.payload), inst.extend, kern, cod, t)
-
-    def fmap(f, t):
-        return _once(map_memo, (id(f), t.payload), inst.map, f, t)
-
-    def lax(t, u):
-        return _once(c_memo, (id(t.base), t.payload, id(u.base), u.payload), inst.lax_c, t, u)
 
     def assoc_by_patterns(pools) -> bool:
         """Kleisli associativity for every (t, k, h), one k per pattern of
@@ -1016,14 +989,14 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
         start as their pools (F's pools stop at its bound, and extend does
         not); the kernels k are the full product TY^X of the pool, in order.
 
-        Per t: the TY index of ext(k, t) over every k, and the TZ index of
+        Per t: the TY index of extend(k, t) over every k, and the TZ index of
         extend(m, t) over every m in M^X, where M holds every value
-        ext(h, s) for s in the pool, so every composite h . k is in M^X.
+        extend(h, s) for s in the pool, so every composite h . k is in M^X.
         Both are functions over full products, so `_read_coordinates`
         measures the columns they read, and two kernels that agree on those
         columns agree on both sides for every h.  Per representative k, the
-        h-indexed column of the left side, ext(h, s) at s = ext(k, t), is
-        compared with the right side looked up at the composites, whose
+        h-indexed column of the left side, extend(h, s) at s = extend(k, t),
+        is compared with the right side looked up at the composites, whose
         columns are the h-tables at k's columns.  The right side is
         memoized per t and composite.
 
@@ -1072,11 +1045,11 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
         tx = pools["t"]
         ty, tz = _Listing(), _Listing()
         f_rows = [
-            (_row_reader(f.mapping), _row_reader(tuple(ty(fmap(f, t)) for t in tx)))
+            (_row_reader(f.mapping), _row_reader(tuple(ty(inst.map(f, t)) for t in tx)))
             for f in pools["f"]
         ]
         g_maps = [g.mapping for g in pools["g"]]
-        g_tables = [tuple(tz(fmap(g, s)) for s in ty) for g in pools["g"]]
+        g_tables = [tuple(tz(inst.map(g, s)) for s in ty) for g in pools["g"]]
         lefts = _Memo(lambda gf: tuple(tz(inst.map(_fun(X, Z, gf), t)) for t in tx))
         for read_map, read_row in f_rows:
             if list(map(lefts.__getitem__, map(read_map, g_maps))) != list(map(read_row, g_tables)):
@@ -1084,16 +1057,16 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
         return True
 
     def naturality_by_tables(pools) -> bool:
-        """c-naturality for every (t, u, f, g).  lax(t, u) is listed once per
-        pair (t, u).  Per (f, g) each listed value is pushed along f x g, and
-        the results read at the pair row are compared with
-        lax(map(f, t), map(g, u)) over the pairs, read from a table memoized
-        per pair of (TY, TZ) indices."""
+        """c-naturality for every (t, u, f, g).  lax_c(t, u) is listed once
+        per pair (t, u).  Per (f, g) each listed value is pushed along
+        f x g, and the results read at the pair row are compared with
+        lax_c(map(f, t), map(g, u)) over the pairs, read from a table
+        memoized per pair of (TY, TZ) indices."""
         tx, tu = pools["t"], pools["u"]
         ty, tz, xy, yz = _Listing(), _Listing(), _Listing(), _Listing()
-        read_pairs = _row_reader(tuple(xy(lax(t, u)) for t in tx for u in tu))
-        f_rows = [(f, tuple(ty(fmap(f, t)) for t in tx)) for f in pools["f"]]
-        g_rows = [(g, tuple(tz(fmap(g, u)) for u in tu)) for g in pools["g"]]
+        read_pairs = _row_reader(tuple(xy(inst.lax_c(t, u)) for t in tx for u in tu))
+        f_rows = [(f, tuple(ty(inst.map(f, t)) for t in tx)) for f in pools["f"]]
+        g_rows = [(g, tuple(tz(inst.map(g, u)) for u in tu)) for g in pools["g"]]
         laxes = _Memo(lambda ij: yz(inst.lax_c(ty[ij[0]], tz[ij[1]])))
         for f, f_row in f_rows:
             for g, g_row in g_rows:
@@ -1104,13 +1077,14 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
         return True
 
     def c_assoc_by_tables(pools) -> bool:
-        """c-associativity for every (t, u, v).  lax(t, u) and lax(u, v) are
-        listed once per pair; lax(t, w) is memoized per t and listed inner
-        value w, and the row lax(w, v) over v per listed inner value w."""
+        """c-associativity for every (t, u, v).  lax_c(t, u) and lax_c(u, v)
+        are listed once per pair; lax_c(t, w) is memoized per t and listed
+        inner value w, and the row lax_c(w, v) over v per listed inner value
+        w."""
         tx, tu, tv = pools["t"], pools["u"], pools["v"]
         xy, yz, xyz = _Listing(), _Listing(), _Listing()
-        tu_rows = [[xy(lax(t, u)) for u in tu] for t in tx]
-        uv_rows = [tuple(yz(lax(u, v)) for v in tv) for u in tu]
+        tu_rows = [[xy(inst.lax_c(t, u)) for u in tu] for t in tx]
+        uv_rows = [tuple(yz(inst.lax_c(u, v)) for v in tv) for u in tu]
         rights = _Memo(lambda i: tuple(xyz(inst.lax_c(xy[i], v)) for v in tv))
         for t, tu_row in zip(tx, tu_rows):
             lefts = _Memo(lambda j, t=t: xyz(inst.lax_c(t, yz[j])))
@@ -1125,8 +1099,8 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
         ("kleisli_right_unit", "u",
          lambda u: inst.extend(unit_y, Y, u) == u, "u", None),
         ("kleisli_assoc", "tkh",
-         lambda t, k, h: ext(h, Z, ext(k, Y, t))
-         == inst.extend(lambda e: ext(h, Z, k(e)), Z, t), "t", assoc_by_patterns),
+         lambda t, k, h: inst.extend(h, Z, inst.extend(k, Y, t))
+         == inst.extend(lambda e: inst.extend(h, Z, k(e)), Z, t), "t", assoc_by_patterns),
         ("functor_identity", "t",
          lambda t: inst.map(id_x, t) == t, "t", None),
         ("functor_composition", "tfg",
@@ -1135,7 +1109,8 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
         ("unit_naturality", "xf",
          lambda x, f: inst.map(f, inst.unit(X, x)) == inst.unit(Y, f(x)), "x", None),
         ("c_naturality", "tufg",
-         lambda t, u, f, g: inst.map(pair_fun(f, g), lax(t, u)) == lax(fmap(f, t), fmap(g, u)),
+         lambda t, u, f, g: inst.map(pair_fun(f, g), inst.lax_c(t, u))
+         == inst.lax_c(inst.map(f, t), inst.map(g, u)),
          "tu", naturality_by_tables),
         ("c_symmetry", "tu",
          lambda t, u: inst.map(swap_xy, inst.lax_c(t, u)) == inst.lax_c(u, t), "tu", None),
@@ -1143,7 +1118,7 @@ def _law_table(inst: MonadInstance, X: FinSet, Y: FinSet, Z: FinSet) -> tuple:
          lambda t, u, v: inst.lax_c(t, inst.lax_c(u, v)) == inst.lax_c(inst.lax_c(t, u), v),
          "tuv", c_assoc_by_tables),
         ("map_is_unit_extension", "tf",
-         lambda t, f: fmap(f, t) == inst.extend(lambda e: inst.unit(Y, f(e)), Y, t), "t", None),
+         lambda t, f: inst.map(f, t) == inst.extend(lambda e: inst.unit(Y, f(e)), Y, t), "t", None),
     )
 
 

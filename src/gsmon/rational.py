@@ -57,7 +57,7 @@ class Table(namedtuple("Table", "nums den")):
     table monads builds tables from ints it has computed itself, unchecked,
     through `_table` (already canonical), or `_reduced` and `_scaled`, which
     reduce.  A table is a tuple, so its fields are read-only, and `==` and
-    `hash` are those of the pair; a copy, a pickle (protocol 2 and up) and
+    `hash` are those of the pair; a copy, a pickle at any protocol and
     `_replace` go through the checked constructor."""
 
     __slots__ = ()
@@ -74,6 +74,9 @@ class Table(namedtuple("Table", "nums den")):
     @classmethod
     def _make(cls, pair) -> "Table":
         return cls(*pair)
+
+    def __reduce__(self):
+        return Table, (self.nums, self.den)
 
     @classmethod
     def of_entries(cls, entries) -> "Table":

@@ -24,6 +24,7 @@ from gsmon.monads import (
     NonzeroMeasureMonad,
     WriterMonad,
     _MeasureBase,
+    classification_of,
     classify,
     get_instance,
 )
@@ -218,6 +219,13 @@ class _UnitInverseWriter(WriterMonad):
         return self.unit(UNIT, ())
 
 
+class _LibraryIdUnitInverseWriter(WriterMonad):
+    """The writer monad over AND under its library id writer:AND, with the
+    T1 solver of _UnitInverseWriter."""
+
+    t1_inverse = _UnitInverseWriter.t1_inverse
+
+
 class _MissedInverse(NonzeroMeasureMonad):
     """M* with a T1 solver that finds no inverse of anything."""
 
@@ -235,6 +243,14 @@ def test_a_wrong_inverse_of_an_enumerated_element_is_an_invariant_violation():
     assert inst.enumerable
     with pytest.raises(InvariantViolation, match=r"writer:AND/unit-inverse: wrong inverse of"):
         classify(inst)
+
+
+def test_a_memoized_verdict_is_not_served_to_another_class_of_the_same_id():
+    assert classification_of(get_instance("writer:AND")).kind == "not_weakly_affine"
+    inst = _LibraryIdUnitInverseWriter(get_monoid("AND"))
+    assert inst.id == "writer:AND"
+    with pytest.raises(InvariantViolation, match=r"writer:AND: wrong inverse of"):
+        classification_of(inst)
 
 
 def test_a_wrong_inverse_of_an_effect_column_is_an_invariant_violation():

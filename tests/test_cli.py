@@ -286,6 +286,22 @@ def test_report_empty_inputs(capsys):
     assert doc["checks"] == []
 
 
+@pytest.mark.parametrize("fmt", ["json", "markdown"])
+@pytest.mark.parametrize(
+    "doc",
+    [[1, 2], {"tool": "x", "checks": [{"name": "a"}]}, {"checks": "abc"}],
+    ids=["not-an-object", "check-without-passed", "checks-not-a-list"],
+)
+def test_report_refuses_a_malformed_input_with_exit_2(tmp_path, capsys, fmt, doc):
+    path = str(tmp_path / "f.json")
+    dump_json(doc, path)
+    code = main(["report", "--inputs", path, "--format", fmt])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("gsmon: error: ") and path in err
+
+
 def test_markdown_output(capsys):
     code, out = run(capsys, "classify", "--monad", "D", "--format", "markdown")
     assert code == 0

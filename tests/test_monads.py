@@ -110,7 +110,7 @@ def unmemoized_assoc_failure(inst, sizes):
     return None
 
 
-def test_memoized_law_table_finds_the_unmemoized_assoc_witness():
+def test_exhaustive_law_check_finds_the_first_assoc_witness():
     broken = _NonAssociativeWriter(get_monoid("Z3"))
     report = check_monad_laws(broken, [1, 2], mode="exhaustive")
     assert not report.passed

@@ -125,8 +125,10 @@ def test_a_table_survives_copy_and_pickle():
     round_trips = [
         copy.copy,
         copy.deepcopy,
-        lambda x: pickle.loads(pickle.dumps(x)),
         lambda x: x._replace(),
+    ] + [
+        lambda x, p=p: pickle.loads(pickle.dumps(x, protocol=p))
+        for p in range(pickle.HIGHEST_PROTOCOL + 1)
     ]
     for round_trip in round_trips:
         copied = round_trip(t)

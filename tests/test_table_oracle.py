@@ -208,7 +208,7 @@ def test_equal_rationals_give_one_value():
         m.value_from_json(X2, {"entries": {"s2_1": "2/4", "s2_2": "3/6"}}),
     ])
     assert half.payload.nums == (1, 1) and half.payload.den == 2
-    # The payload alone, as the memo and row keys of the law check read it.
+    # The payload alone, as the row keys of the law check read it.
     quarter_times_two = m.lax_c(m.make(SETS[0], (F(1, 4),)), m.make(X2, (2, 2)))
     equal_with_equal_hashes([half.payload, quarter_times_two.payload])
     equal_with_equal_hashes([m.make(X2, (0, 1)), m.make(X2, (F(0), F(1))), m.unit(X2, ("s2_2",))])
