@@ -131,17 +131,15 @@ def _markdown(doc: dict) -> str:
         "|---|---|---|---|---|---|",
     ]
     for c in doc["checks"]:
-        verdict = "pass" if c["passed"] else "FAIL"
-        lines.append(
-            "| {name} | {verdict} | {mode} | {trials} | {ref} | {note} |".format(
-                name=c.get("name", "?"),
-                verdict=verdict,
-                mode=c.get("mode", ""),
-                trials=c.get("trials", 0),
-                ref=c.get("reference", ""),
-                note=c.get("note", "").replace("|", "/"),
-            )
+        cells = (
+            c.get("name", "?"),
+            "pass" if c["passed"] else "FAIL",
+            c.get("mode", ""),
+            c.get("trials", 0),
+            c.get("reference", ""),
+            c.get("note", ""),
         )
+        lines.append("| " + " | ".join(str(v).replace("|", "/") for v in cells) + " |")
     if "warning" in doc:
         lines += ["", f"Warning: {doc['warning']}"]
     lines.append("")

@@ -38,8 +38,8 @@ class Kernel:
     """A Kleisli morphism dom -> cod for a fixed monad instance.
 
     Each column is a TValue that was validated where it was built (`make`)
-    or is the result of a closed monad operation, so only its instance (by
-    id) and its base are checked here."""
+    or is the result of a closed monad operation, so only its instance
+    (equal to `inst`, that is with its id) and its base are checked here."""
 
     __slots__ = ("inst", "dom", "cod", "columns")
 
@@ -63,14 +63,14 @@ class Kernel:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Kernel)
-            and self.inst.id == other.inst.id
+            and self.inst == other.inst
             and self.dom == other.dom
             and self.cod == other.cod
             and self.columns == other.columns
         )
 
     def __hash__(self) -> int:
-        return hash((self.inst.id, self.dom, self.cod, self.columns))
+        return hash((self.inst, self.dom, self.cod, self.columns))
 
     def describe(self) -> str:
         cols = ", ".join(
@@ -84,8 +84,8 @@ class Kernel:
 
 
 def _same_instance(a: MonadInstance, b: MonadInstance) -> None:
-    """TypeMismatch unless `a` and `b` have one id."""
-    if a.id != b.id:
+    """TypeMismatch unless the instances `a` and `b` are equal (have one id)."""
+    if a != b:
         raise TypeMismatch(f"instance mismatch: {a.id} vs {b.id}")
 
 
@@ -237,7 +237,7 @@ def equivalent(f: Kernel, g: Kernel) -> Optional[Kernel]:
     """The unique effect a with a.f = g, or None if f and g are not in the
     same orbit.  Candidate-then-verify: a := mass(f)^-1 . mass(g) is the only
     possibility because the scalar action is free."""
-    if f.dom != g.dom or f.cod != g.cod or f.inst.id != g.inst.id:
+    if f.dom != g.dom or f.cod != g.cod or f.inst != g.inst:
         raise TypeMismatch("equivalence requires parallel kernels")
     candidate = effect_mul(_inverse_mass(f)[1], mass(g))
     if scalar_action(candidate, f) == g:

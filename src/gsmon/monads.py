@@ -13,6 +13,7 @@ import json
 import operator
 import random
 import re
+from collections import namedtuple
 from dataclasses import FrozenInstanceError, dataclass
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -65,22 +66,21 @@ def _scale(inst, t: TValue, p: int, q: int) -> TValue:
     return inst.make(t.base, t.payload.scaled(p, q))
 
 
-class TValue:
+class TValue(namedtuple("TValue", "monad base payload")):
     """An element of TX for a concrete instance, in canonical form.
 
-    `monad` is the instance the value belongs to.  Immutable: assigning to
-    or deleting a field raises FrozenInstanceError.  Two values are equal
-    when their instances have one id (the same object first), their bases
-    are equal (compared by elements, the same object first) and their
-    payloads are.  The hash is hash((monad id, base, payload)): equal values
-    must hash alike."""
+    `monad` is the instance the value belongs to.  A value is the immutable
+    triple (monad, base, payload), like a `Table` its pair: assigning to or
+    deleting a field raises FrozenInstanceError, and `==` and `hash` are
+    those of the triple.  So two values are equal when their instances are
+    (one id, by `MonadInstance.__eq__`), their bases are (by elements) and
+    their payloads are, and the hash is hash((monad id, base, payload)).  A
+    value also equals a plain tuple of the same three objects, as a table
+    equals its pair, but never (monad id, base, payload): an instance is not
+    equal to its id.  Nothing in the package indexes, unpacks, iterates or
+    orders a value."""
 
-    __slots__ = ("monad", "base", "payload")
-
-    def __init__(self, monad: "MonadInstance", base: FinSet, payload):
-        _set_monad(self, monad)
-        _set_base(self, base)
-        _set_payload(self, payload)
+    __slots__ = ()
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -88,38 +88,28 @@ class TValue:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def __eq__(self, other):
-        if other.__class__ is not TValue:
-            return NotImplemented
-        return (
-            (self.monad is other.monad or self.monad.id == other.monad.id)
-            and (self.base is other.base or self.base == other.base)
-            and self.payload == other.payload
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.monad.id, self.base, self.payload))
-
     def __repr__(self) -> str:
         return f"TValue(monad={self.monad.id!r}, base={self.base!r}, payload={self.payload!r})"
-
-    def __reduce__(self):
-        return TValue, (self.monad, self.base, self.payload)
 
     def describe(self) -> str:
         return self.monad.value_text(self)
 
 
-# The slots' own setters: __init__ fills the fields past the refusing __setattr__.
-_set_monad, _set_base, _set_payload = (TValue.__dict__[f].__set__ for f in TValue.__slots__)
-
-
 class MonadInstance:
-    """Descriptor of one commutative monad instance, identified by its `id`."""
+    """Descriptor of one commutative monad instance, identified by its `id`:
+    two instances are equal when their ids are, and hash as their id."""
 
     id: str = "?"
     enumerable: bool = False
     has_zero: bool = False  # admits an absorbing zero element of TX
+
+    def __eq__(self, other):
+        if not isinstance(other, MonadInstance):
+            return NotImplemented
+        return self.id == other.id
+
+    def __hash__(self) -> int:
+        return hash(self.id)
 
     # -- construction ------------------------------------------------------
 
@@ -128,14 +118,14 @@ class MonadInstance:
         by `validate` (PayloadInvalid otherwise).  Every value that enters from
         outside the monad's own operations -- JSON, the enumerators, the
         samplers, solvers -- is built here."""
-        return TValue(self, base, self.validate(base, payload))
+        return tuple.__new__(TValue, (self, base, self.validate(base, payload)))
 
     def _value(self, base: FinSet, payload) -> TValue:
         """The value of an already canonical, valid `payload`, unchecked.
 
         Only the closed operations (`unit`, `map`, `extend`, `lax_c`, `zero`)
         use it: each maps valid values to a valid value."""
-        return TValue(self, base, payload)
+        return tuple.__new__(TValue, (self, base, payload))
 
     def validate(self, base: FinSet, payload):
         raise NotImplementedError
@@ -723,8 +713,14 @@ class FreeAbelianMonad(_TableMonad):
         return t
 
     def enumerate_values(self, base: FinSet) -> Iterator[TValue]:
-        rng_vals = range(-self.bound, self.bound + 1)
-        for combo in itertools.product(rng_vals, repeat=len(base)):
+        """Every table of multiplicities -B..B, in lexicographic order, built
+        lazily (unlike itertools.product, which lists its pools first), so a
+        budget can refuse a bound too large to list."""
+        multiplicities = range(-self.bound, self.bound + 1)
+        combos = [()]
+        for _ in base:
+            combos = (c + (m,) for c in combos for m in multiplicities)
+        for combo in combos:
             yield self.make(base, combo)
 
     def sample(self, base: FinSet, rng: random.Random) -> TValue:
@@ -802,7 +798,8 @@ def classify(inst: MonadInstance, trials: int = 200, seed: int = 42) -> Classifi
         elements = [inst.sample(UNIT, rng) for _ in range(trials)]
         candidates = inst.t1_candidates()
     else:
-        elements = list(inst.enumerate_values(UNIT))
+        listing = budgeted_product([inst.enumerate_values(UNIT)], inst.id, "values of T1")
+        elements = [t for (t,) in listing]
         candidates = [t for t in inst.t1_candidates() if t in elements]
     kind, witness = "affine", None
     for t in candidates + elements:

@@ -20,12 +20,12 @@ def show(value) -> object:
         return value
     if isinstance(value, dict):
         return {str(k): show(v) for k, v in value.items()}
+    if hasattr(value, "describe"):
+        return value.describe()
     if isinstance(value, (list, tuple)):
         return [show(v) for v in value]
     if isinstance(value, frozenset):
         return sorted(show(v) for v in value)
-    if hasattr(value, "describe"):
-        return value.describe()
     return repr(value)
 
 

@@ -309,6 +309,26 @@ def test_markdown_output(capsys):
     assert "| classify[D] | pass |" in out
 
 
+def test_markdown_rows_keep_their_cells_when_a_cell_holds_a_bar(capsys):
+    monoid = '{"elements":["a|b","c"],"name":"C2","table":[[0,1],[1,0]],"unit":0}'
+    code, out = run(capsys, "classify", "--monad", f"writer:{monoid}", "--format", "markdown")
+    assert code == 0
+    rows = [line for line in out.splitlines() if line.startswith("|")]
+    assert len(rows) == 3
+    assert [row.count("|") for row in rows] == [rows[0].count("|")] * 3
+    assert '"a/b"' in rows[2]
+
+
+# F(B) has 2B + 1 values in T1, so T1 is over the enumeration budget from
+# B = 10000 on; a bound far past it is refused without listing T1.
+@pytest.mark.parametrize("bound", [10000, 99999999999])
+def test_classify_refuses_a_t1_over_the_enumeration_budget(capsys, bound):
+    assert main(["classify", "--monad", f"F(B={bound})"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"gsmon: error: F(B={bound}): at least 20001 values of T1")
+
+
 def test_seed_env_default(monkeypatch, capsys):
     monkeypatch.setenv("GSMON_SEED", "99")
     code, doc = run_json(

@@ -6,7 +6,15 @@ rank-one CI test asks it for the factors of each column
 (`rank_one_factors`).  The base class offers none of them, so an instance
 outside the library gets a randomized assoc check or the rank-one method by
 defining the method, and no flag is read elsewhere.
+
+An instance is its id: two instances are equal exactly when their ids are,
+and hash as their id, so values and kernels of two objects of one id are
+equal and hash alike.
 """
+
+import dataclasses
+import itertools
+import random
 
 import pytest
 
@@ -14,7 +22,9 @@ from gsmon.errors import MethodInapplicable, NoSolverForRandomized
 from gsmon.finset import FinSet, product
 from gsmon.independence import check_ci
 from gsmon.kernels import Kernel
-from gsmon.monads import ALL_MONAD_IDS, MonadInstance, TValue, get_instance
+from gsmon.monads import ALL_MONAD_IDS, MonadInstance, TValue, WriterMonad, get_instance
+from gsmon.monoid import get_monoid
+from gsmon.report import show
 from gsmon.squares import build_square, check_pullback
 
 A = FinSet.of("A", ["a0", "a1"])
@@ -146,3 +156,56 @@ def test_auto_picks_the_method_of_each_library_instance(monad_id):
     f = Kernel(inst, A, cod, [inst.unit(cod, ("x0", "y0"))] * len(A))
     result = check_ci(f, [x1, y1], [[0], [1]])
     assert (result.method, result.holds) == (AUTO_METHOD.get(monad_id, "equivalence"), True)
+
+
+SPELLED_C2 = 'writer:{"elements":["0","1"],"name":"C2","table":[[0,1],[1,0]],"unit":0}'
+IDS = [*ALL_MONAD_IDS, "writer:Z2xZ2", SPELLED_C2, "F(B=1)", "F(B=3)"]
+
+
+@pytest.mark.parametrize("monad_id", IDS)
+def test_two_instances_of_one_id_are_equal_and_hash_as_the_id(monad_id):
+    a, b = get_instance(monad_id), get_instance(monad_id)
+    assert a is not b and a.id == b.id == monad_id
+    assert a == b and not a != b
+    assert hash(a) == hash(b) == hash(monad_id)
+
+
+def test_instances_of_different_ids_are_unequal():
+    # AND renamed Z2 has the labels of the library Z2 writer, and its own id.
+    and_z2 = WriterMonad(dataclasses.replace(get_monoid("AND"), name="Z2"))
+    z2 = get_instance("writer:Z2")
+    assert and_z2 != z2 and not and_z2 == z2
+    instances = [get_instance(monad_id) for monad_id in IDS] + [and_z2, Delegating("M")]
+    for a, b in itertools.product(instances, repeat=2):
+        assert (a == b) == (a is b) == (a.id == b.id)
+        assert (a != b) == (a is not b)
+
+
+@pytest.mark.parametrize("monad_id", IDS)
+def test_an_instance_never_equals_its_id(monad_id):
+    inst = get_instance(monad_id)
+    assert inst != monad_id and not inst == monad_id
+    assert monad_id != inst and not monad_id == inst
+
+
+@pytest.mark.parametrize("monad_id", IDS)
+def test_values_and_kernels_of_two_instances_of_one_id_are_equal(monad_id):
+    a, b = get_instance(monad_id), get_instance(monad_id)
+    for x in X:
+        assert a.unit(X, x) == b.unit(X, x) and hash(a.unit(X, x)) == hash(b.unit(X, x))
+    t, u = (inst.sample(X, random.Random(3)) for inst in (a, b))
+    assert t.monad is a and u.monad is b
+    assert t == u and hash(t) == hash(u)
+    assert TValue(a, X, t.payload) == TValue(b, X, t.payload) == t
+    k, h = (Kernel(inst, X, X, [inst.unit(X, x) for x in reversed(X.elements)]) for inst in (a, b))
+    assert k == h and hash(k) == hash(h)
+
+
+def test_show_renders_values_and_kernels_by_describe():
+    inst = get_instance("writer:Z2")
+    t, u = (inst.unit(X, x) for x in X)
+    k = Kernel(inst, X, X, [u, t])
+    assert show(t) == t.describe() == "writer:Z2(0, x0)"
+    assert show(k) == k.describe()
+    assert show((t, u)) == [t.describe(), u.describe()]
+    assert show([k, (u,)]) == [k.describe(), [u.describe()]]

@@ -805,6 +805,17 @@ def test_free_abelian_enumeration_respects_bound():
     assert f.id == "F(B=2)"
 
 
+def test_free_abelian_enumeration_is_the_lexicographic_product_listed_lazily():
+    f = FreeAbelianMonad(bound=2)
+    for base in (FinSet.of("E", []), UNIT, X, product([X, Y])):
+        got = [t.payload.nums for t in f.enumerate_values(base)]
+        assert got == list(itertools.product(range(-2, 3), repeat=len(base)))
+    # A bound far too large to list yields its first values at once.
+    huge = FreeAbelianMonad(bound=10**12)
+    first = itertools.islice(huge.enumerate_values(X), 2)
+    assert [t.payload.nums for t in first] == [(-(10**12), -(10**12)), (-(10**12), 1 - 10**12)]
+
+
 def test_budgeted_product_is_the_product_within_the_budget():
     pools = [iter("ab"), ["x"], range(3)]
     assert list(budgeted_product(pools, "t", "things")) == list(
